@@ -13,7 +13,10 @@ signed triangle, never recomputed by a second recurrence.
 :class:`StirlingCalculator` memoizes rows per kind, growing row at a time and
 never evicting; triangles at the scales this library targets are tiny next to
 memory. Rows are immutable tuples appended under a lock, so concurrent
-readers need no synchronization once a row exists.
+readers need no synchronization once a row exists. Every read goes through
+:meth:`StirlingCalculator.row`, which hands out a whole stored row: point
+queries index it, and the identity sweeps and polynomial builders index the
+rows they need directly instead of fetching one entry at a time.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -134,34 +137,44 @@ class StirlingCalculator:
         check_index(m, self.index_cap, "m")
         return self._value(kind, n, m)
 
+    def row(self, kind: StirlingKind, n: int) -> tuple:
+        """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
+        n + 1 entries, built on first use.
+
+        The single read path: everything in the package reads entries out
+        of these rows, which is what lets PerturbedCalculator offset one
+        entry for every consumer at once. No cap check: internal callers
+        may legitimately reach derived indices past the public cap.
+        """
+        rows = self._rows.get(kind)
+        if rows is None:
+            raise ValueError(f"rows are stored for first and second, not {kind.value}")
+        if len(rows) <= n:
+            with self._lock:
+                while len(rows) <= n:
+                    rows.append(_next_row(kind, rows[-1], len(rows) - 1))
+        return rows[n]
+
     def _value(self, kind: StirlingKind, n: int, m: int) -> int:
-        # The single read path. Everything in the package funnels through
-        # here, which is what lets PerturbedCalculator offset one entry
-        # for every consumer at once. No cap check: internal callers may
-        # legitimately reach derived indices past the public cap.
+        # One entry of row(); the unsigned first kind is the signed entry
+        # with its sign flipped where n - m is odd.
         if kind is StirlingKind.FIRST_UNSIGNED:
             signed = self._value(StirlingKind.FIRST_SIGNED, n, m)
             return -signed if (n - m) % 2 else signed
-        if m > n or (n > 0 and m == 0):
+        if m > n:
             return 0
-        return self._stored_rows(kind, n)[n][m]
-
-    def _stored_rows(self, kind: StirlingKind, upto: int) -> list:
-        rows = self._rows[kind]
-        if len(rows) <= upto:
-            with self._lock:
-                while len(rows) <= upto:
-                    rows.append(_next_row(kind, rows[-1], len(rows) - 1))
-        return rows
+        return self.row(kind, n)[m]
 
     def triangle(self, kind: StirlingKind, max_row: int) -> Triangle:
         """Snapshot rows 0..max_row of one kind."""
         check_index(max_row, self.index_cap, "max_row")
-        rows = [
-            [self._value(kind, n, m) for m in range(n + 1)]
-            for n in range(max_row + 1)
-        ]
-        return Triangle(kind, rows)
+        if kind is not StirlingKind.FIRST_UNSIGNED:
+            return Triangle(kind, (self.row(kind, n) for n in range(max_row + 1)))
+        signed = (self.row(StirlingKind.FIRST_SIGNED, n) for n in range(max_row + 1))
+        return Triangle(kind, (
+            [-v if (n - m) % 2 else v for m, v in enumerate(row)]
+            for n, row in enumerate(signed)
+        ))
 
     def first_from_second(self, n: int, m: int) -> int:
         """Signed first-kind value rebuilt from the second-kind triangle:
@@ -170,40 +183,35 @@ class StirlingCalculator:
 
         Requires 1 <= m <= n. Must equal value(FIRST_SIGNED, n, m) exactly.
         """
-        self._check_conversion_args(n, m)
-        total = 0
-        for k in range(n - m + 1):
-            term = (
-                comb(n - 1 + k, n - m + k)
-                * comb(2 * n - m, n - m - k)
-                * self._value(StirlingKind.SECOND, n - m + k, k)
-            )
-            total += -term if k % 2 else term
-        return total
+        return self._convert(StirlingKind.SECOND, n, m)
 
     def second_from_first(self, n: int, m: int) -> int:
         """Second-kind value rebuilt from the signed first-kind triangle;
         the mirror image of :meth:`first_from_second`."""
-        self._check_conversion_args(n, m)
-        total = 0
-        for k in range(n - m + 1):
-            term = (
-                comb(n - 1 + k, n - m + k)
-                * comb(2 * n - m, n - m - k)
-                * self._value(StirlingKind.FIRST_SIGNED, n - m + k, k)
-            )
-            total += -term if k % 2 else term
-        return total
+        return self._convert(StirlingKind.FIRST_SIGNED, n, m)
 
-    def _check_conversion_args(self, n: int, m: int):
+    def _convert(self, source: StirlingKind, n: int, m: int) -> int:
+        # first_from_second's sum over the source kind; with source =
+        # FIRST_SIGNED it rebuilds the second kind
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if m < 1 or m > n:
             raise ValueError(f"conversion requires 1 <= m <= n, got n={n}, m={m}")
+        return _conversion_sum(n, m, self._diagonal(source, n - m))
+
+    def _diagonal(self, kind: StirlingKind, d: int) -> list:
+        # entries (d + k, k) for k = 0..d: the factors of the conversion
+        # sum of every (n, m) with n - m = d
+        return [self.row(kind, d + k)[k] for k in range(d + 1)]
 
 
 class PerturbedCalculator(StirlingCalculator):
-    """Calculator whose reads of exactly one stored entry are offset by delta.
+    """Calculator whose row holding one stored entry comes back with that
+    entry offset by delta.
+
+    Only the copy handed out by :meth:`row` carries the offset; the memoized
+    row stays pristine, so rows built later by the recurrence are the
+    healthy ones and the fault never spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -224,11 +232,23 @@ class PerturbedCalculator(StirlingCalculator):
         self.target = (kind, n, m)
         self.delta = delta
 
-    def _value(self, kind: StirlingKind, n: int, m: int) -> int:
-        value = super()._value(kind, n, m)
-        if (kind, n, m) == self.target:
-            value += self.delta
-        return value
+    def row(self, kind: StirlingKind, n: int) -> tuple:
+        row = super().row(kind, n)
+        target_kind, target_n, target_m = self.target
+        if kind is not target_kind or n != target_n:
+            return row
+        patched = list(row)
+        patched[target_m] += self.delta
+        return tuple(patched)
+
+
+def _conversion_sum(n: int, m: int, diagonal) -> int:
+    # sum_{k=0}^{n-m} (-1)^k C(n-1+k, n-m+k) C(2n-m, n-m-k) diagonal[k]
+    total = 0
+    for k, value in enumerate(diagonal):
+        term = comb(n - 1 + k, n - m + k) * comb(2 * n - m, n - m - k) * value
+        total += -term if k % 2 else term
+    return total
 
 
 _SHARED = StirlingCalculator()

@@ -24,17 +24,24 @@ The catalog:
     eq17  linear term of eq13: S(m, 1) = -sum_{j<m} s(m, j) S(j, 1)
     eq18  linear term of eq15: s(j, 1) = -sum_{m<j} S(j, m) s(m, 1)
 
-Out-of-triangle factors contribute zero everywhere; the eq3/eq4 sums run
-l = 0 .. max(j, k) + 1 as stated even though the trailing term is provably
-zero, so both range conventions agree.
+Out-of-triangle factors contribute zero everywhere; the eq3/eq4 sums are
+stated over l = 0 .. max(j, k) + 1, and every term outside j <= l <= k has an
+out-of-triangle factor, so only those are summed.
+
+Each first-kind/second-kind pair is one function parametrized by which kind
+sits outside the double sum and which inside; the public ``*_first`` and
+``*_second`` names are entry points into it. Everything reads whole rows
+through ``StirlingCalculator.row``, and a sweep builds each row-level inner
+quantity (a row sum, a column entry) once for all of its indices.
 """
 
 import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .engine import StirlingKind, shared_calculator
+from .engine import StirlingKind, _conversion_sum, shared_calculator
 from .exact import check_index, dump_json, format_rational
 from .poly import (
     Poly,
@@ -145,66 +152,78 @@ def check_orthogonality(j: int, k: int, calc=None, mirrored: bool = False):
     calc = calc or shared_calculator()
     check_index(j, calc.index_cap, "j")
     check_index(k, calc.index_cap, "k")
-    top = max(j, k) + 1
-    if mirrored:
-        lhs = sum(
-            calc._value(_FIRST, k, l) * calc._value(_SECOND, l, j)
-            for l in range(top + 1)
-        )
-    else:
-        lhs = sum(
-            calc._value(_FIRST, l, j) * calc._value(_SECOND, k, l)
-            for l in range(top + 1)
-        )
+    column_kind, row_kind = (_SECOND, _FIRST) if mirrored else (_FIRST, _SECOND)
+    lhs = sum(map(mul, _column(calc, column_kind, j, k), calc.row(row_kind, k)[j:]))
     return lhs, 1 if j == k else 0
+
+
+def _column(calc, kind, j, top):
+    # kind(l, j) for l = j..top; rows l < j have no entry in column j
+    return [calc.row(kind, l)[j] for l in range(j, top + 1)]
+
+
+def _inner_sums(calc, kind, top):
+    # sum_{k=1}^{j} kind(j, k) for j = 0..top, each row summed once
+    return [sum(calc.row(kind, j)[1:]) for j in range(top + 1)]
+
+
+def _linear_column(calc, kind, top):
+    # kind(j, 1) for j = 0..top
+    return [0] + _column(calc, kind, 1, top)
+
+
+def _outer_sum(calc, kind, m, table, top):
+    # sum_{j=1}^{top} kind(m, j) * table[j]
+    return sum(map(mul, calc.row(kind, m)[1:top + 1], table[1:]))
+
+
+def _unit_sum(calc, outer, inner, m, sums):
+    return _outer_sum(calc, outer, m, sums, m), 1
+
+
+def _row_relation(calc, outer, inner, m, sums):
+    return -_outer_sum(calc, outer, m, sums, m - 1), sum(calc.row(inner, m)[1:m])
+
+
+def _deriv_relation(calc, outer, inner, m, linear):
+    return calc.row(inner, m)[1], -_outer_sum(calc, outer, m, linear, m - 1)
+
+
+# (evaluate, inner table, smallest index) of each row-level relation
+_UNIT_SUM = (_unit_sum, _inner_sums, 1)
+_ROW_RELATION = (_row_relation, _inner_sums, 2)
+_DERIV_RELATION = (_deriv_relation, _linear_column, 2)
+
+
+def _check(relation, name, outer, inner, index, calc):
+    calc = calc or shared_calculator()
+    evaluate, table, start = relation
+    check_index(index, calc.index_cap, name)
+    if index < start:
+        raise ValueError(f"{name} must be at least {start}, got {index}")
+    return evaluate(calc, outer, inner, index, table(calc, inner, index))
 
 
 def check_unit_sum_first(m: int, calc=None) -> int:
     """sum_{j=1}^{m} s(m, j) sum_{k=1}^{j} S(j, k); must equal 1."""
-    calc = calc or shared_calculator()
-    _require_at_least(m, 1, "m", calc)
-    total = 0
-    for j in range(1, m + 1):
-        inner = sum(calc._value(_SECOND, j, k) for k in range(1, j + 1))
-        total += calc._value(_FIRST, m, j) * inner
-    return total
+    return _check(_UNIT_SUM, "m", _FIRST, _SECOND, m, calc)[0]
 
 
 def check_unit_sum_second(m: int, calc=None) -> int:
     """sum_{j=1}^{m} S(m, j) sum_{k=1}^{j} s(j, k); must equal 1."""
-    calc = calc or shared_calculator()
-    _require_at_least(m, 1, "m", calc)
-    total = 0
-    for j in range(1, m + 1):
-        inner = sum(calc._value(_FIRST, j, k) for k in range(1, j + 1))
-        total += calc._value(_SECOND, m, j) * inner
-    return total
+    return _check(_UNIT_SUM, "m", _SECOND, _FIRST, m, calc)[0]
 
 
 def check_row_relation_first(m: int, calc=None):
     """(lhs, rhs) of: -sum_{j=1}^{m-1} s(m, j) sum_{k=1}^{j} S(j, k)
     against sum_{k=1}^{m-1} S(m, k). Defined for m >= 2."""
-    calc = calc or shared_calculator()
-    _require_at_least(m, 2, "m", calc)
-    lhs = 0
-    for j in range(1, m):
-        inner = sum(calc._value(_SECOND, j, k) for k in range(1, j + 1))
-        lhs -= calc._value(_FIRST, m, j) * inner
-    rhs = sum(calc._value(_SECOND, m, k) for k in range(1, m))
-    return lhs, rhs
+    return _check(_ROW_RELATION, "m", _FIRST, _SECOND, m, calc)
 
 
 def check_row_relation_second(j: int, calc=None):
     """(lhs, rhs) of: -sum_{m=1}^{j-1} S(j, m) sum_{k=1}^{m} s(m, k)
     against sum_{k=1}^{j-1} s(j, k). Defined for j >= 2."""
-    calc = calc or shared_calculator()
-    _require_at_least(j, 2, "j", calc)
-    lhs = 0
-    for m in range(1, j):
-        inner = sum(calc._value(_FIRST, m, k) for k in range(1, m + 1))
-        lhs -= calc._value(_SECOND, j, m) * inner
-    rhs = sum(calc._value(_FIRST, j, k) for k in range(1, j))
-    return lhs, rhs
+    return _check(_ROW_RELATION, "j", _SECOND, _FIRST, j, calc)
 
 
 def check_deriv_relation_second(m: int, calc=None):
@@ -213,112 +232,77 @@ def check_deriv_relation_second(m: int, calc=None):
     This is the vanishing linear coefficient of residual_poly_first(m),
     restated; both computation paths must agree. Defined for m >= 2.
     """
-    calc = calc or shared_calculator()
-    _require_at_least(m, 2, "m", calc)
-    lhs = calc._value(_SECOND, m, 1)
-    rhs = -sum(
-        calc._value(_FIRST, m, j) * calc._value(_SECOND, j, 1)
-        for j in range(1, m)
-    )
-    return lhs, rhs
+    return _check(_DERIV_RELATION, "m", _FIRST, _SECOND, m, calc)
 
 
 def check_deriv_relation_first(j: int, calc=None):
     """(lhs, rhs) of: s(j, 1) = -sum_{m=1}^{j-1} S(j, m) s(m, 1).
     Defined for j >= 2."""
-    calc = calc or shared_calculator()
-    _require_at_least(j, 2, "j", calc)
-    lhs = calc._value(_FIRST, j, 1)
-    rhs = -sum(
-        calc._value(_SECOND, j, m) * calc._value(_FIRST, m, 1)
-        for m in range(1, j)
-    )
-    return lhs, rhs
+    return _check(_DERIV_RELATION, "j", _SECOND, _FIRST, j, calc)
 
 
-def _require_at_least(value: int, minimum: int, name: str, calc):
-    check_index(value, calc.index_cap, name)
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+# sweeps: each factory returns (range description, sweep generator)
 
 
-# sweeps
-
-
-def _sweep_conversion_first(max_index, calc):
-    for n in range(1, max_index + 1):
-        for m in range(1, n + 1):
-            converted = calc.first_from_second(n, m)
-            direct = calc._value(_FIRST, n, m)
-            if converted != direct:
-                yield Counterexample({"n": n, "m": m}, converted, direct)
-
-
-def _sweep_conversion_second(max_index, calc):
-    for n in range(1, max_index + 1):
-        for m in range(1, n + 1):
-            converted = calc.second_from_first(n, m)
-            direct = calc._value(_SECOND, n, m)
-            if converted != direct:
-                yield Counterexample({"n": n, "m": m}, converted, direct)
-
-
-def _sweep_orthogonality(mirrored):
+def _sweep_conversion(target, source):
     def sweep(max_index, calc):
-        for j in range(max_index + 1):
-            for k in range(max_index + 1):
-                lhs, expected = check_orthogonality(j, k, calc, mirrored=mirrored)
+        diagonals = [calc._diagonal(source, d) for d in range(max_index)]
+        for n in range(1, max_index + 1):
+            direct = calc.row(target, n)
+            for m in range(1, n + 1):
+                converted = _conversion_sum(n, m, diagonals[n - m])
+                if converted != direct[m]:
+                    yield Counterexample({"n": n, "m": m}, converted, direct[m])
+
+    return _range_triangle, sweep
+
+
+def _sweep_orthogonality(column_kind, row_kind):
+    def sweep(max_index, calc):
+        columns = [
+            _column(calc, column_kind, j, max_index) for j in range(max_index + 1)
+        ]
+        rows = [calc.row(row_kind, k) for k in range(max_index + 1)]
+        for j, column in enumerate(columns):
+            for k, row in enumerate(rows):
+                lhs = sum(map(mul, column, row[j:]))
+                expected = 1 if j == k else 0
                 if lhs != expected:
                     yield Counterexample({"j": j, "k": k}, lhs, expected)
 
-    return sweep
+    return _range_grid, sweep
 
 
-def _sweep_unit_sum(check):
+def _sweep_rows(relation, name, outer, inner):
+    # the relation's inner table is built once for the whole sweep
+    evaluate, table, start = relation
+
     def sweep(max_index, calc):
-        for m in range(1, max_index + 1):
-            total = check(m, calc)
-            if total != 1:
-                yield Counterexample({"m": m}, total, 1)
-
-    return sweep
-
-
-def _sweep_monomial_rebuild(builder, index_name):
-    def sweep(max_index, calc):
-        for m in range(1, max_index + 1):
-            built = builder(m, calc)
-            expected = Poly.monomial(m)
-            if built != expected:
-                for k in range(max(built.degree(), m) + 1):
-                    actual = built.coefficient(k)
-                    want = expected.coefficient(k)
-                    if actual != want:
-                        yield Counterexample({index_name: m, "k": k}, actual, want)
-
-    return sweep
-
-
-def _sweep_zero_residual(builder, index_name):
-    def sweep(max_index, calc):
-        for m in range(1, max_index + 1):
-            built = builder(m, calc)
-            for k in range(built.degree() + 1):
-                coeff = built.coefficient(k)
-                if coeff != 0:
-                    yield Counterexample({index_name: m, "k": k}, coeff, Fraction(0))
-
-    return sweep
-
-
-def _sweep_two_sided(check, index_name, start):
-    def sweep(max_index, calc):
-        for m in range(start, max_index + 1):
-            lhs, rhs = check(m, calc)
+        hoisted = table(calc, inner, max_index)
+        for index in range(start, max_index + 1):
+            lhs, rhs = evaluate(calc, outer, inner, index, hoisted)
             if lhs != rhs:
-                yield Counterexample({index_name: m}, lhs, rhs)
+                yield Counterexample({name: index}, lhs, rhs)
 
-    return sweep
+    return _range_from(start, name), sweep
+
+
+def _zero_poly(index):
+    return Poly()
+
+
+def _sweep_poly(builder, name, expected):
+    # compares builder(index) with expected(index) coefficientwise
+    def sweep(max_index, calc):
+        for index in range(1, max_index + 1):
+            built, want = builder(index, calc), expected(index)
+            if built != want:
+                for k in range(max(built.degree(), want.degree()) + 1):
+                    lhs, rhs = built.coefficient(k), want.coefficient(k)
+                    if lhs != rhs:
+                        yield Counterexample({name: index, "k": k}, lhs, rhs)
+
+    return _range_from(1, name), sweep
 
 
 def _plural(count, noun):
@@ -343,44 +327,20 @@ def _range_from(start, index_name):
 
 
 _SWEEPS = {
-    IdentityId.CONVERSION_1: (_range_triangle, _sweep_conversion_first),
-    IdentityId.CONVERSION_2: (_range_triangle, _sweep_conversion_second),
-    IdentityId.ORTHOGONALITY_3: (_range_grid, _sweep_orthogonality(False)),
-    IdentityId.ORTHOGONALITY_4: (_range_grid, _sweep_orthogonality(True)),
-    IdentityId.UNIT_SUM_5: (_range_from(1, "m"), _sweep_unit_sum(check_unit_sum_first)),
-    IdentityId.UNIT_SUM_6: (_range_from(1, "m"), _sweep_unit_sum(check_unit_sum_second)),
-    IdentityId.BASIS_POLY_11: (
-        _range_from(1, "m"),
-        _sweep_monomial_rebuild(basis_poly_first, "m"),
-    ),
-    IdentityId.BASIS_POLY_12: (
-        _range_from(1, "j"),
-        _sweep_monomial_rebuild(basis_poly_second, "j"),
-    ),
-    IdentityId.RESIDUAL_13: (
-        _range_from(1, "m"),
-        _sweep_zero_residual(residual_poly_first, "m"),
-    ),
-    IdentityId.ROW_RELATION_14: (
-        _range_from(2, "m"),
-        _sweep_two_sided(check_row_relation_first, "m", 2),
-    ),
-    IdentityId.RESIDUAL_15: (
-        _range_from(1, "j"),
-        _sweep_zero_residual(residual_poly_second, "j"),
-    ),
-    IdentityId.ROW_RELATION_16: (
-        _range_from(2, "j"),
-        _sweep_two_sided(check_row_relation_second, "j", 2),
-    ),
-    IdentityId.DERIV_RELATION_17: (
-        _range_from(2, "m"),
-        _sweep_two_sided(check_deriv_relation_second, "m", 2),
-    ),
-    IdentityId.DERIV_RELATION_18: (
-        _range_from(2, "j"),
-        _sweep_two_sided(check_deriv_relation_first, "j", 2),
-    ),
+    IdentityId.CONVERSION_1: _sweep_conversion(_FIRST, _SECOND),
+    IdentityId.CONVERSION_2: _sweep_conversion(_SECOND, _FIRST),
+    IdentityId.ORTHOGONALITY_3: _sweep_orthogonality(_FIRST, _SECOND),
+    IdentityId.ORTHOGONALITY_4: _sweep_orthogonality(_SECOND, _FIRST),
+    IdentityId.UNIT_SUM_5: _sweep_rows(_UNIT_SUM, "m", _FIRST, _SECOND),
+    IdentityId.UNIT_SUM_6: _sweep_rows(_UNIT_SUM, "m", _SECOND, _FIRST),
+    IdentityId.BASIS_POLY_11: _sweep_poly(basis_poly_first, "m", Poly.monomial),
+    IdentityId.BASIS_POLY_12: _sweep_poly(basis_poly_second, "j", Poly.monomial),
+    IdentityId.RESIDUAL_13: _sweep_poly(residual_poly_first, "m", _zero_poly),
+    IdentityId.ROW_RELATION_14: _sweep_rows(_ROW_RELATION, "m", _FIRST, _SECOND),
+    IdentityId.RESIDUAL_15: _sweep_poly(residual_poly_second, "j", _zero_poly),
+    IdentityId.ROW_RELATION_16: _sweep_rows(_ROW_RELATION, "j", _SECOND, _FIRST),
+    IdentityId.DERIV_RELATION_17: _sweep_rows(_DERIV_RELATION, "m", _FIRST, _SECOND),
+    IdentityId.DERIV_RELATION_18: _sweep_rows(_DERIV_RELATION, "j", _SECOND, _FIRST),
 }
 
 

@@ -5,7 +5,9 @@ first kind outside, second kind inside; the construction must come back out
 as exactly x^m, coefficient for coefficient. ``residual_poly_first(m)`` is
 the same double sum with the degree-m diagonal term split off, after which
 everything cancels: the result must be the zero polynomial. The ``*_second``
-variants swap the roles of the two kinds.
+variants swap the roles of the two kinds. All four are one double sum,
+parametrized by which kind sits outside, that indexes whole rows of the
+calculator.
 
 Coefficients are stored as ``Fraction`` even though the constructions above
 only ever produce integers: evaluation at arbitrary rational points then
@@ -143,39 +145,18 @@ def linear_coefficient(p: Poly) -> Fraction:
     return p.coefficient(1)
 
 
-def _checked_order(value: int, calc, name: str) -> int:
-    check_index(value, calc.index_cap, name)
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def basis_poly_first(m: int, calc=None) -> Poly:
     """The double sum over j of s(m, j) times sum over k of S(j, k) x^k.
 
     Must equal the monomial x^m exactly.
     """
-    calc = calc or shared_calculator()
-    _checked_order(m, calc, "m")
-    coeffs = [0] * (m + 1)
-    for j in range(1, m + 1):
-        outer = calc._value(_FIRST, m, j)
-        for k in range(1, j + 1):
-            coeffs[k] += outer * calc._value(_SECOND, j, k)
-    return Poly(coeffs)
+    return Poly(_double_sum(m, calc, "m", _FIRST, _SECOND))
 
 
 def basis_poly_second(j: int, calc=None) -> Poly:
     """Mirror of :func:`basis_poly_first` with the kinds swapped; must equal
     the monomial x^j exactly."""
-    calc = calc or shared_calculator()
-    _checked_order(j, calc, "j")
-    coeffs = [0] * (j + 1)
-    for m in range(1, j + 1):
-        outer = calc._value(_SECOND, j, m)
-        for k in range(1, m + 1):
-            coeffs[k] += outer * calc._value(_FIRST, m, k)
-    return Poly(coeffs)
+    return Poly(_double_sum(j, calc, "j", _SECOND, _FIRST))
 
 
 def residual_poly_first(m: int, calc=None) -> Poly:
@@ -186,30 +167,25 @@ def residual_poly_first(m: int, calc=None) -> Poly:
 
     Everything cancels; the result must be the zero polynomial.
     """
-    calc = calc or shared_calculator()
-    _checked_order(m, calc, "m")
-    coeffs = [0] * (m + 1)
-    for j in range(1, m):
-        outer = calc._value(_FIRST, m, j)
-        for k in range(1, j + 1):
-            coeffs[k] += outer * calc._value(_SECOND, j, k)
-    diagonal = calc._value(_FIRST, m, m)
-    for k in range(1, m):
-        coeffs[k] += diagonal * calc._value(_SECOND, m, k)
-    return Poly(coeffs)
+    return Poly(_double_sum(m, calc, "m", _FIRST, _SECOND)[:m])
 
 
 def residual_poly_second(j: int, calc=None) -> Poly:
     """Mirror of :func:`residual_poly_first` with the kinds swapped; must be
     the zero polynomial."""
+    return Poly(_double_sum(j, calc, "j", _SECOND, _FIRST)[:j])
+
+
+def _double_sum(m: int, calc, name: str, outer, inner) -> list:
+    # Coefficients 0..m of sum_{j=1}^{m} outer(m, j) sum_{k=1}^{j} inner(j, k) x^k.
+    # Its only degree-m term is the diagonal's k = m one, so the residual
+    # constructions are the first m coefficients.
     calc = calc or shared_calculator()
-    _checked_order(j, calc, "j")
-    coeffs = [0] * (j + 1)
-    for m in range(1, j):
-        outer = calc._value(_SECOND, j, m)
-        for k in range(1, m + 1):
-            coeffs[k] += outer * calc._value(_FIRST, m, k)
-    diagonal = calc._value(_SECOND, j, j)
-    for k in range(1, j):
-        coeffs[k] += diagonal * calc._value(_FIRST, j, k)
-    return Poly(coeffs)
+    check_index(m, calc.index_cap, name)
+    if m < 1:
+        raise ValueError(f"{name} must be at least 1, got {m}")
+    coeffs = [0] * (m + 1)
+    for j, weight in enumerate(calc.row(outer, m)[1:], 1):
+        for k, value in enumerate(calc.row(inner, j)[1:], 1):
+            coeffs[k] += weight * value
+    return coeffs

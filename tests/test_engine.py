@@ -45,6 +45,9 @@ def test_frozen_small_rows():
     assert build_triangle(FIRST, 3).rows[3] == (0, 2, -3, 1)
     assert build_triangle(FIRST, 5).rows[5] == (0, 24, -50, 35, -10, 1)
     assert build_triangle(UNSIGNED, 3).rows[3] == (0, 2, 3, 1)
+    assert StirlingCalculator().row(SECOND, 4) == (0, 1, 7, 6, 1)
+    with pytest.raises(ValueError):
+        StirlingCalculator().row(UNSIGNED, 3)
 
 
 def test_first_kind_rows_match_falling_factorial_expansion():
@@ -232,6 +235,19 @@ def test_perturbed_calculator_offsets_exactly_one_entry():
     # the derived unsigned view reflects a signed-entry fault
     signed_fault = PerturbedCalculator(FIRST, 4, 2, delta=1)
     assert signed_fault.value(UNSIGNED, 4, 2) == healthy.value(UNSIGNED, 4, 2) + 1
+    # row() hands out a perturbed copy; the stored row stays pristine, so
+    # rows the recurrence builds after the faulty row was read are healthy
+    assert perturbed.row(SECOND, 5) == (0, 1, 16, 25, 10, 1)
+    assert perturbed._rows[SECOND][5] == healthy.row(SECOND, 5) == (0, 1, 15, 25, 10, 1)
+    for kind in (FIRST, SECOND):
+        assert [perturbed.row(kind, n) for n in range(6, 30)] == [
+            healthy.row(kind, n) for n in range(6, 30)
+        ]
+    # column 0 lies inside the triangle for the fault injector
+    column_zero = PerturbedCalculator(FIRST, 1, 0, delta=1)
+    assert column_zero.row(FIRST, 1) == (1, 1)
+    assert column_zero.value(FIRST, 1, 0) == 1
+    assert column_zero.row(FIRST, 2) == healthy.row(FIRST, 2)
 
 
 def test_perturbed_calculator_argument_validation():

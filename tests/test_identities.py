@@ -5,6 +5,7 @@ reports, exhaustive counterexample collection, and mutation sensitivity
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -230,3 +231,93 @@ def test_single_entry_mutations_are_detected():
         faulty = PerturbedCalculator(kind, n, m, delta=1)
         outcomes = [run_identity(i, 12, faulty) for i in SENSITIVE_SET]
         assert any(not r.passed for r in outcomes), (kind, n, m)
+
+
+def naive_counterexamples(identity, top, calc):
+    """(indices, lhs, rhs) of every violation a sweep of ``identity`` up to
+    ``top`` must report, in sweep order: each sum written out term by term
+    over the range the README catalog states, each term read through the
+    public calc.value()."""
+    def s(n, m):
+        return calc.value(FIRST, n, m)
+
+    def S(n, m):
+        return calc.value(SECOND, n, m)
+
+    mirrored = identity in (
+        IdentityId.CONVERSION_2, IdentityId.ORTHOGONALITY_4, IdentityId.UNIT_SUM_6,
+        IdentityId.BASIS_POLY_12, IdentityId.RESIDUAL_15, IdentityId.ROW_RELATION_16,
+        IdentityId.DERIV_RELATION_18,
+    )
+    outer, inner = (S, s) if mirrored else (s, S)
+    name = "j" if mirrored and identity is not IdentityId.UNIT_SUM_6 else "m"
+    found = []
+
+    def check(indices, lhs, rhs):
+        if lhs != rhs:
+            found.append((indices, lhs, rhs))
+
+    if identity in (IdentityId.CONVERSION_1, IdentityId.CONVERSION_2):
+        for n in range(1, top + 1):
+            for m in range(1, n + 1):
+                converted = sum(
+                    (-1) ** k * comb(n - 1 + k, n - m + k) * comb(2 * n - m, n - m - k)
+                    * inner(n - m + k, k)
+                    for k in range(n - m + 1)
+                )
+                check({"n": n, "m": m}, converted, outer(n, m))
+    elif identity in (IdentityId.ORTHOGONALITY_3, IdentityId.ORTHOGONALITY_4):
+        for j in range(top + 1):
+            for k in range(top + 1):
+                if mirrored:
+                    terms = (s(k, l) * S(l, j) for l in range(max(j, k) + 2))
+                else:
+                    terms = (s(l, j) * S(k, l) for l in range(max(j, k) + 2))
+                check({"j": j, "k": k}, sum(terms), 1 if j == k else 0)
+    elif identity in (IdentityId.UNIT_SUM_5, IdentityId.UNIT_SUM_6):
+        for m in range(1, top + 1):
+            total = sum(
+                outer(m, j) * sum(inner(j, k) for k in range(1, j + 1))
+                for j in range(1, m + 1)
+            )
+            check({"m": m}, total, 1)
+    elif identity in (IdentityId.ROW_RELATION_14, IdentityId.ROW_RELATION_16):
+        for m in range(2, top + 1):
+            lhs = -sum(
+                outer(m, j) * sum(inner(j, k) for k in range(1, j + 1))
+                for j in range(1, m)
+            )
+            check({name: m}, lhs, sum(inner(m, k) for k in range(1, m)))
+    elif identity in (IdentityId.DERIV_RELATION_17, IdentityId.DERIV_RELATION_18):
+        for m in range(2, top + 1):
+            rhs = -sum(outer(m, j) * inner(j, 1) for j in range(1, m))
+            check({name: m}, inner(m, 1), rhs)
+    else:
+        residual = identity in (IdentityId.RESIDUAL_13, IdentityId.RESIDUAL_15)
+        for m in range(1, top + 1):
+            coeffs = [0] * (m + 1)
+            for j in range(1, m + 1):
+                # the residual splits the diagonal term off: it stops at k = m - 1
+                for k in range(1, (m if residual and j == m else j + 1)):
+                    coeffs[k] += outer(m, j) * inner(j, k)
+            for k in range(m + 1):
+                check({name: m, "k": k}, coeffs[k], 0 if residual or k < m else 1)
+    return found
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, delta",
+    [
+        (FIRST, 1, 0, 1),  # column 0
+        (SECOND, 4, 4, -2),  # diagonal
+        (FIRST, 6, 3, 1),
+        (SECOND, 5, 2, 3),
+        (SECOND, 9, 0, 1),
+    ],
+)
+def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta):
+    # the row-level sweeps must change no verdict and no counterexample
+    faulty = PerturbedCalculator(kind, n, m, delta=delta)
+    for report in run_all(12, faulty):
+        found = [(ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+        assert found == naive_counterexamples(report.id, 12, faulty), report.id
