@@ -15,8 +15,8 @@ never evicting; triangles at the scales this library targets are tiny next to
 memory. Rows are immutable tuples appended under a lock, so concurrent
 readers need no synchronization once a row exists. Every read goes through
 :meth:`StirlingCalculator.row`, which hands out a whole stored row: point
-queries index it, and the identity sweeps and polynomial builders index the
-rows they need directly instead of fetching one entry at a time.
+queries index it, and the identity sweeps and polynomial builders fetch each
+row they need once and slice it, or a column gathered from such rows.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -26,7 +26,9 @@ whole-triangle consistency check.
 
 import enum
 import threading
+from itertools import zip_longest
 from math import comb
+from operator import mul, sub
 
 from .exact import DEFAULT_INDEX_CAP, check_index, dump_json
 
@@ -135,7 +137,12 @@ class StirlingCalculator:
         triangle, memoized inside it."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
-        return self._value(kind, n, m)
+        if m > n:
+            return 0
+        if kind is not StirlingKind.FIRST_UNSIGNED:
+            return self.row(kind, n)[m]
+        signed = self.row(StirlingKind.FIRST_SIGNED, n)[m]
+        return -signed if (n - m) % 2 else signed
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
@@ -154,16 +161,6 @@ class StirlingCalculator:
                 while len(rows) <= n:
                     rows.append(_next_row(kind, rows[-1], len(rows) - 1))
         return rows[n]
-
-    def _value(self, kind: StirlingKind, n: int, m: int) -> int:
-        # One entry of row(); the unsigned first kind is the signed entry
-        # with its sign flipped where n - m is odd.
-        if kind is StirlingKind.FIRST_UNSIGNED:
-            signed = self._value(StirlingKind.FIRST_SIGNED, n, m)
-            return -signed if (n - m) % 2 else signed
-        if m > n:
-            return 0
-        return self.row(kind, n)[m]
 
     def triangle(self, kind: StirlingKind, max_row: int) -> Triangle:
         """Snapshot rows 0..max_row of one kind."""
@@ -197,12 +194,11 @@ class StirlingCalculator:
         check_index(m, self.index_cap, "m")
         if m < 1 or m > n:
             raise ValueError(f"conversion requires 1 <= m <= n, got n={n}, m={m}")
-        return _conversion_sum(n, m, self._diagonal(source, n - m))
-
-    def _diagonal(self, kind: StirlingKind, d: int) -> list:
-        # entries (d + k, k) for k = 0..d: the factors of the conversion
-        # sum of every (n, m) with n - m = d
-        return [self.row(kind, d + k)[k] for k in range(d + 1)]
+        d = n - m
+        column = [(-1) ** (m - 1) * comb(n - 1 + k, m - 1) for k in range(d + 1)]
+        row = [(-1) ** (d - k) * comb(n + d, d - k) for k in range(d + 1)]
+        diagonal = [self.row(source, d + k)[k] for k in range(d + 1)]
+        return _conversion_sum(n, column, row, diagonal)
 
 
 class PerturbedCalculator(StirlingCalculator):
@@ -242,13 +238,33 @@ class PerturbedCalculator(StirlingCalculator):
         return tuple(patched)
 
 
-def _conversion_sum(n: int, m: int, diagonal) -> int:
-    # sum_{k=0}^{n-m} (-1)^k C(n-1+k, n-m+k) C(2n-m, n-m-k) diagonal[k]
-    total = 0
-    for k, value in enumerate(diagonal):
-        term = comb(n - 1 + k, n - m + k) * comb(2 * n - m, n - m - k) * value
-        total += -term if k % 2 else term
-    return total
+def _conversion_sum(n: int, column, row, diagonal) -> int:
+    # sum_{k=0}^{d} (-1)^k C(n-1+k, m-1) C(n+d, d-k) source(d+k, k), d = n - m: Pascal
+    # column m-1 over rows n-1..n-1+d and row n+d read backwards from index d. Signed
+    # as in _pascal they carry (-1)^(m-1) (-1)^(d-k) = (-1)^k (-1)^(n-1).
+    total = sum(map(mul, map(mul, column, row), diagonal))
+    return total if n % 2 else -total
+
+
+def _pascal(top: int) -> list:
+    # rows 0..2*top-1 of (-1)^j C(r, j), the coefficients of (1 - x)^r, each kept
+    # to its first top entries: all that a conversion sweep up to n = top reads
+    rows, row = [], (1,)
+    while len(rows) < 2 * top:
+        rows.append(row[:top])
+        row = (1, *map(sub, row[1:], row), -row[-1])
+    return rows
+
+
+def _columns(rows, width: int) -> list:
+    # columns 0..width-1 of the rows 0..top, column k from its entry (k, k) down
+    padded = zip_longest(*(row[:width] for row in rows), fillvalue=0)
+    return [column[k:] for k, column in enumerate(padded)]
+
+
+def _read_rows(calc: StirlingCalculator, kind: StirlingKind, top: int) -> list:
+    # rows 0..top of a stored kind, each read once through calc.row
+    return [calc.row(kind, n) for n in range(top + 1)]
 
 
 _SHARED = StirlingCalculator()

@@ -30,26 +30,22 @@ out-of-triangle factor, so only those are summed.
 
 Each first-kind/second-kind pair is one function parametrized by which kind
 sits outside the double sum and which inside; the public ``*_first`` and
-``*_second`` names are entry points into it. Everything reads whole rows
-through ``StirlingCalculator.row``, and a sweep builds each row-level inner
-quantity (a row sum, a column entry) once for all of its indices.
+``*_second`` names are entry points into it. A sweep reads each row once
+through ``StirlingCalculator.row`` and builds what its sums share once: inner
+row sums or columns, and for eq1/eq2 the source diagonals and Pascal's
+triangle to row 2N - 1. Each inner sum is then one dot product of plain ints.
 """
 
 import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import getitem, mul
 
-from .engine import StirlingKind, _conversion_sum, shared_calculator
+from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _read_rows
+from .engine import shared_calculator
 from .exact import check_index, dump_json, format_rational
-from .poly import (
-    Poly,
-    basis_poly_first,
-    basis_poly_second,
-    residual_poly_first,
-    residual_poly_second,
-)
+from .poly import _double_sum
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
@@ -82,12 +78,6 @@ class IdentityId(enum.Enum):
         raise ValueError(f"unknown identity {token!r}; expected one of: {valid}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Counterexample:
     """One failing index point, both sides recorded exactly as computed."""
@@ -99,8 +89,8 @@ class Counterexample:
     def to_json_data(self) -> dict:
         return {
             "indices": dict(self.indices),
-            "lhs": _fmt(self.lhs),
-            "rhs": _fmt(self.rhs),
+            "lhs": format_rational(self.lhs),
+            "rhs": format_rational(self.rhs),
         }
 
 
@@ -153,46 +143,32 @@ def check_orthogonality(j: int, k: int, calc=None, mirrored: bool = False):
     check_index(j, calc.index_cap, "j")
     check_index(k, calc.index_cap, "k")
     column_kind, row_kind = (_SECOND, _FIRST) if mirrored else (_FIRST, _SECOND)
-    lhs = sum(map(mul, _column(calc, column_kind, j, k), calc.row(row_kind, k)[j:]))
+    terms = enumerate(calc.row(row_kind, k)[j:], j)
+    lhs = sum(calc.row(column_kind, l)[j] * value for l, value in terms)
     return lhs, 1 if j == k else 0
 
 
-def _column(calc, kind, j, top):
-    # kind(l, j) for l = j..top; rows l < j have no entry in column j
-    return [calc.row(kind, l)[j] for l in range(j, top + 1)]
+def _inner_sums(rows):
+    # sum_{k=1}^{j} inner(j, k) for each row j
+    return [sum(row[1:]) for row in rows]
 
 
-def _inner_sums(calc, kind, top):
-    # sum_{k=1}^{j} kind(j, k) for j = 0..top, each row summed once
-    return [sum(calc.row(kind, j)[1:]) for j in range(top + 1)]
+def _unit_sum(outer_row, inner_row, sums):
+    return sum(map(mul, outer_row[1:], sums[1:])), 1
 
 
-def _linear_column(calc, kind, top):
-    # kind(j, 1) for j = 0..top
-    return [0] + _column(calc, kind, 1, top)
+def _row_relation(outer_row, inner_row, sums):
+    return -sum(map(mul, outer_row[1:-1], sums[1:])), sum(inner_row[1:-1])
 
 
-def _outer_sum(calc, kind, m, table, top):
-    # sum_{j=1}^{top} kind(m, j) * table[j]
-    return sum(map(mul, calc.row(kind, m)[1:top + 1], table[1:]))
+def _deriv_relation(outer_row, inner_row, columns):
+    return inner_row[1], -sum(map(mul, outer_row[1:-1], columns[1]))
 
 
-def _unit_sum(calc, outer, inner, m, sums):
-    return _outer_sum(calc, outer, m, sums, m), 1
-
-
-def _row_relation(calc, outer, inner, m, sums):
-    return -_outer_sum(calc, outer, m, sums, m - 1), sum(calc.row(inner, m)[1:m])
-
-
-def _deriv_relation(calc, outer, inner, m, linear):
-    return calc.row(inner, m)[1], -_outer_sum(calc, outer, m, linear, m - 1)
-
-
-# (evaluate, inner table, smallest index) of each row-level relation
+# (evaluate(outer row m, inner row m, table), table of inner rows, smallest m)
 _UNIT_SUM = (_unit_sum, _inner_sums, 1)
 _ROW_RELATION = (_row_relation, _inner_sums, 2)
-_DERIV_RELATION = (_deriv_relation, _linear_column, 2)
+_DERIV_RELATION = (_deriv_relation, lambda rows: _columns(rows, 2), 2)
 
 
 def _check(relation, name, outer, inner, index, calc):
@@ -201,7 +177,8 @@ def _check(relation, name, outer, inner, index, calc):
     check_index(index, calc.index_cap, name)
     if index < start:
         raise ValueError(f"{name} must be at least {start}, got {index}")
-    return evaluate(calc, outer, inner, index, table(calc, inner, index))
+    rows = _read_rows(calc, inner, index)
+    return evaluate(calc.row(outer, index), rows[index], table(rows))
 
 
 def check_unit_sum_first(m: int, calc=None) -> int:
@@ -246,11 +223,19 @@ def check_deriv_relation_first(j: int, calc=None):
 
 def _sweep_conversion(target, source):
     def sweep(max_index, calc):
-        diagonals = [calc._diagonal(source, d) for d in range(max_index)]
+        pascal = _pascal(max_index)
+        columns = _columns(pascal, max_index)
+        sources = _read_rows(calc, source, 2 * max_index - 2)
+        # diagonal d: entry (d + k, k) for k = 0..d
+        diagonals = [
+            tuple(map(getitem, sources[d:], range(d + 1))) for d in range(max_index)
+        ]
         for n in range(1, max_index + 1):
             direct = calc.row(target, n)
             for m in range(1, n + 1):
-                converted = _conversion_sum(n, m, diagonals[n - m])
+                d = n - m
+                column, row = columns[m - 1][d:2 * d + 1], pascal[n + d][d::-1]
+                converted = _conversion_sum(n, column, row, diagonals[d])
                 if converted != direct[m]:
                     yield Counterexample({"n": n, "m": m}, converted, direct[m])
 
@@ -259,10 +244,8 @@ def _sweep_conversion(target, source):
 
 def _sweep_orthogonality(column_kind, row_kind):
     def sweep(max_index, calc):
-        columns = [
-            _column(calc, column_kind, j, max_index) for j in range(max_index + 1)
-        ]
-        rows = [calc.row(row_kind, k) for k in range(max_index + 1)]
+        columns = _columns(_read_rows(calc, column_kind, max_index), max_index + 1)
+        rows = _read_rows(calc, row_kind, max_index)
         for j, column in enumerate(columns):
             for k, row in enumerate(rows):
                 lhs = sum(map(mul, column, row[j:]))
@@ -274,32 +257,31 @@ def _sweep_orthogonality(column_kind, row_kind):
 
 
 def _sweep_rows(relation, name, outer, inner):
-    # the relation's inner table is built once for the whole sweep
     evaluate, table, start = relation
 
     def sweep(max_index, calc):
-        hoisted = table(calc, inner, max_index)
+        rows = _read_rows(calc, inner, max_index)
+        hoisted = table(rows)
         for index in range(start, max_index + 1):
-            lhs, rhs = evaluate(calc, outer, inner, index, hoisted)
+            lhs, rhs = evaluate(calc.row(outer, index), rows[index], hoisted)
             if lhs != rhs:
                 yield Counterexample({name: index}, lhs, rhs)
 
     return _range_from(start, name), sweep
 
 
-def _zero_poly(index):
-    return Poly()
-
-
-def _sweep_poly(builder, name, expected):
-    # compares builder(index) with expected(index) coefficientwise
+def _sweep_poly(name, outer, inner, residual):
+    # integer coefficients against x^index, or (residual) the first index of
+    # them against zero; recorded as Fractions, as the builders' Poly has them
     def sweep(max_index, calc):
+        columns = _columns(_read_rows(calc, inner, max_index), max_index + 1)
         for index in range(1, max_index + 1):
-            built, want = builder(index, calc), expected(index)
+            built = _double_sum(calc.row(outer, index), columns)
+            want = [0] * index + [1]
             if built != want:
-                for k in range(max(built.degree(), want.degree()) + 1):
-                    lhs, rhs = built.coefficient(k), want.coefficient(k)
-                    if lhs != rhs:
+                for k in range(index if residual else index + 1):
+                    if built[k] != want[k]:
+                        lhs, rhs = Fraction(built[k]), Fraction(want[k])
                         yield Counterexample({name: index, "k": k}, lhs, rhs)
 
     return _range_from(1, name), sweep
@@ -333,11 +315,11 @@ _SWEEPS = {
     IdentityId.ORTHOGONALITY_4: _sweep_orthogonality(_SECOND, _FIRST),
     IdentityId.UNIT_SUM_5: _sweep_rows(_UNIT_SUM, "m", _FIRST, _SECOND),
     IdentityId.UNIT_SUM_6: _sweep_rows(_UNIT_SUM, "m", _SECOND, _FIRST),
-    IdentityId.BASIS_POLY_11: _sweep_poly(basis_poly_first, "m", Poly.monomial),
-    IdentityId.BASIS_POLY_12: _sweep_poly(basis_poly_second, "j", Poly.monomial),
-    IdentityId.RESIDUAL_13: _sweep_poly(residual_poly_first, "m", _zero_poly),
+    IdentityId.BASIS_POLY_11: _sweep_poly("m", _FIRST, _SECOND, False),
+    IdentityId.BASIS_POLY_12: _sweep_poly("j", _SECOND, _FIRST, False),
+    IdentityId.RESIDUAL_13: _sweep_poly("m", _FIRST, _SECOND, True),
     IdentityId.ROW_RELATION_14: _sweep_rows(_ROW_RELATION, "m", _FIRST, _SECOND),
-    IdentityId.RESIDUAL_15: _sweep_poly(residual_poly_second, "j", _zero_poly),
+    IdentityId.RESIDUAL_15: _sweep_poly("j", _SECOND, _FIRST, True),
     IdentityId.ROW_RELATION_16: _sweep_rows(_ROW_RELATION, "j", _SECOND, _FIRST),
     IdentityId.DERIV_RELATION_17: _sweep_rows(_DERIV_RELATION, "m", _FIRST, _SECOND),
     IdentityId.DERIV_RELATION_18: _sweep_rows(_DERIV_RELATION, "j", _SECOND, _FIRST),

@@ -6,17 +6,19 @@ as exactly x^m, coefficient for coefficient. ``residual_poly_first(m)`` is
 the same double sum with the degree-m diagonal term split off, after which
 everything cancels: the result must be the zero polynomial. The ``*_second``
 variants swap the roles of the two kinds. All four are one double sum,
-parametrized by which kind sits outside, that indexes whole rows of the
-calculator.
+parametrized by which kind sits outside, whose coefficient k is the dot
+product of the outer row with the inner column k.
 
 Coefficients are stored as ``Fraction`` even though the constructions above
 only ever produce integers: evaluation at arbitrary rational points then
-stays closed without a type change. Floats are rejected outright.
+stays closed without a type change. Floats are rejected outright. The
+identity sweeps compare the integer coefficients before any such conversion.
 """
 
 from fractions import Fraction
+from operator import mul
 
-from .engine import StirlingKind, shared_calculator
+from .engine import StirlingKind, _columns, _read_rows, shared_calculator
 from .exact import check_index, format_rational, parse_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -150,13 +152,13 @@ def basis_poly_first(m: int, calc=None) -> Poly:
 
     Must equal the monomial x^m exactly.
     """
-    return Poly(_double_sum(m, calc, "m", _FIRST, _SECOND))
+    return Poly(_build(m, calc, "m", _FIRST, _SECOND))
 
 
 def basis_poly_second(j: int, calc=None) -> Poly:
     """Mirror of :func:`basis_poly_first` with the kinds swapped; must equal
     the monomial x^j exactly."""
-    return Poly(_double_sum(j, calc, "j", _SECOND, _FIRST))
+    return Poly(_build(j, calc, "j", _SECOND, _FIRST))
 
 
 def residual_poly_first(m: int, calc=None) -> Poly:
@@ -167,25 +169,25 @@ def residual_poly_first(m: int, calc=None) -> Poly:
 
     Everything cancels; the result must be the zero polynomial.
     """
-    return Poly(_double_sum(m, calc, "m", _FIRST, _SECOND)[:m])
+    return Poly(_build(m, calc, "m", _FIRST, _SECOND)[:m])
 
 
 def residual_poly_second(j: int, calc=None) -> Poly:
     """Mirror of :func:`residual_poly_first` with the kinds swapped; must be
     the zero polynomial."""
-    return Poly(_double_sum(j, calc, "j", _SECOND, _FIRST)[:j])
+    return Poly(_build(j, calc, "j", _SECOND, _FIRST)[:j])
 
 
-def _double_sum(m: int, calc, name: str, outer, inner) -> list:
-    # Coefficients 0..m of sum_{j=1}^{m} outer(m, j) sum_{k=1}^{j} inner(j, k) x^k.
-    # Its only degree-m term is the diagonal's k = m one, so the residual
-    # constructions are the first m coefficients.
+def _build(m: int, calc, name: str, outer, inner) -> list:
     calc = calc or shared_calculator()
     check_index(m, calc.index_cap, name)
     if m < 1:
         raise ValueError(f"{name} must be at least 1, got {m}")
-    coeffs = [0] * (m + 1)
-    for j, weight in enumerate(calc.row(outer, m)[1:], 1):
-        for k, value in enumerate(calc.row(inner, j)[1:], 1):
-            coeffs[k] += weight * value
-    return coeffs
+    return _double_sum(calc.row(outer, m), _columns(_read_rows(calc, inner, m), m + 1))
+
+
+def _double_sum(row, columns) -> list:
+    # Coefficients 0..m of sum_{j=1}^{m} outer(m, j) sum_{k=1}^{j} inner(j, k) x^k
+    # from outer row m and the inner columns. The only degree-m term is the
+    # diagonal's k = m one, so the residuals are the first m coefficients.
+    return [0, *(sum(map(mul, row[k:], columns[k])) for k in range(1, len(row)))]

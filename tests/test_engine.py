@@ -12,12 +12,14 @@ from stirling.engine import (
     StirlingCalculator,
     StirlingKind,
     Triangle,
+    _pascal,
     build_triangle,
     first_from_second,
     second_from_first,
     stirling,
 )
-from stirling.exact import IndexLimitError, dump_json, factorial
+from stirling.exact import IndexLimitError, binomial, dump_json, factorial
+from stirling.identities import IdentityId, run_identity
 from stirling.poly import Poly
 
 FIRST = StirlingKind.FIRST_SIGNED
@@ -130,6 +132,47 @@ def test_conversion_round_trip_against_recurrences():
         for m in range(1, n + 1):
             assert first_from_second(n, m) == stirling(FIRST, n, m)
             assert second_from_first(n, m) == stirling(SECOND, n, m)
+
+
+@pytest.mark.parametrize(
+    "calc",
+    [
+        StirlingCalculator(),
+        PerturbedCalculator(SECOND, 30, 7, delta=1),
+        PerturbedCalculator(FIRST, 33, 2, delta=-3),
+    ],
+    ids=["healthy", "second:30:7", "first:33:2:-3"],
+)
+def test_point_and_sweep_conversions_agree(calc):
+    # the point path fills the conversion sum from math.comb, the eq1/eq2
+    # sweeps from the Pascal table; for every 1 <= m <= n <= 40 both must
+    # rebuild the same value, the sweep's counterexample lhs where its
+    # rebuilt value differs from value() and value() everywhere else
+    cases = [
+        (IdentityId.CONVERSION_1, calc.first_from_second, FIRST),
+        (IdentityId.CONVERSION_2, calc.second_from_first, SECOND),
+    ]
+    for identity, convert, target in cases:
+        rebuilt = {
+            (ce.indices["n"], ce.indices["m"]): ce.lhs
+            for ce in run_identity(identity, 40, calc).counterexamples
+        }
+        for n in range(1, 41):
+            for m in range(1, n + 1):
+                direct = calc.value(target, n, m)
+                assert convert(n, m) == rebuilt.get((n, m), direct), (identity, n, m)
+
+
+def test_pascal_table_rows_are_signed_binomials():
+    rows = _pascal(81)
+    assert len(rows) == 162
+    # rows 0..80 are whole; later rows keep their first 81 entries
+    assert rows[:81] == [
+        tuple((-1) ** j * binomial(r, j) for j in range(r + 1)) for r in range(81)
+    ]
+    assert rows[161] == tuple((-1) ** j * binomial(161, j) for j in range(81))
+    assert _pascal(5) == [row[:5] for row in rows[:10]]
+    assert _pascal(0) == []
 
 
 def test_conversion_domain_errors():

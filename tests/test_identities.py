@@ -25,7 +25,14 @@ from stirling.identities import (
     run_all,
     run_identity,
 )
-from stirling.poly import linear_coefficient, residual_poly_first
+from stirling.poly import (
+    Poly,
+    basis_poly_first,
+    basis_poly_second,
+    linear_coefficient,
+    residual_poly_first,
+    residual_poly_second,
+)
 
 FIRST = StirlingKind.FIRST_SIGNED
 SECOND = StirlingKind.SECOND
@@ -174,6 +181,35 @@ def test_polynomial_counterexamples_record_coefficients():
         assert ce.lhs != ce.rhs
 
 
+@pytest.mark.parametrize(
+    "kind, n, m, delta",
+    [(SECOND, 4, 3, 2), (FIRST, 9, 4, -1), (SECOND, 11, 0, 1), (FIRST, 12, 12, 3)],
+)
+def test_polynomial_sweeps_agree_with_the_public_builders(kind, n, m, delta):
+    # the sweeps compare integer coefficients without calling the builders;
+    # each of their counterexamples must be a coefficient where the public
+    # builder's Poly differs from x^index (basis) or from zero (residual)
+    faulty = PerturbedCalculator(kind, n, m, delta=delta)
+    cases = [
+        (IdentityId.BASIS_POLY_11, "m", basis_poly_first, False),
+        (IdentityId.BASIS_POLY_12, "j", basis_poly_second, False),
+        (IdentityId.RESIDUAL_13, "m", residual_poly_first, True),
+        (IdentityId.RESIDUAL_15, "j", residual_poly_second, True),
+    ]
+    for identity, name, builder, residual in cases:
+        mismatches = []
+        for index in range(1, 13):
+            built = builder(index, faulty)
+            assert all(isinstance(c, Fraction) for c in built.coeffs)
+            want = Poly() if residual else Poly.monomial(index)
+            for k in range(max(built.degree(), want.degree()) + 1):
+                if built.coefficient(k) != want.coefficient(k):
+                    mismatches.append((index, k, built.coefficient(k)))
+        report = run_identity(identity, 12, faulty)
+        found = [(ce.indices[name], ce.indices["k"], ce.lhs) for ce in report.counterexamples]
+        assert found == mismatches, identity
+
+
 def test_report_json_schema_and_round_trip():
     report = run_identity(IdentityId.UNIT_SUM_6, 12)
     text = report.to_json()
@@ -306,18 +342,27 @@ def naive_counterexamples(identity, top, calc):
 
 
 @pytest.mark.parametrize(
-    "kind, n, m, delta",
+    "kind, n, m, delta, top",
     [
-        (FIRST, 1, 0, 1),  # column 0
-        (SECOND, 4, 4, -2),  # diagonal
-        (FIRST, 6, 3, 1),
-        (SECOND, 5, 2, 3),
-        (SECOND, 9, 0, 1),
+        (FIRST, 1, 0, 1, 12),  # column 0
+        (SECOND, 4, 4, -2, 12),  # diagonal
+        (FIRST, 6, 3, 1, 12),
+        (SECOND, 5, 2, 3, 12),
+        (SECOND, 9, 0, 1, 12),
+        # long diagonals, away from the origin: the Pascal-table conversion
+        # sums and the column dot products at their far ends
+        (SECOND, 20, 6, 1, 24),
+        (FIRST, 22, 3, 1, 24),
     ],
 )
-def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta):
+def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta, top):
     # the row-level sweeps must change no verdict and no counterexample
     faulty = PerturbedCalculator(kind, n, m, delta=delta)
-    for report in run_all(12, faulty):
+    for report in run_all(top, faulty):
         found = [(ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
-        assert found == naive_counterexamples(report.id, 12, faulty), report.id
+        assert found == naive_counterexamples(report.id, top, faulty), report.id
+        if top > 12 and report.id in (
+            IdentityId.CONVERSION_1, IdentityId.CONVERSION_2,
+            IdentityId.BASIS_POLY_11, IdentityId.RESIDUAL_13,
+        ):
+            assert found, report.id
