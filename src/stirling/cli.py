@@ -15,7 +15,6 @@ re-serialize byte for byte.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .engine import PerturbedCalculator, StirlingCalculator, StirlingKind
 from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, dump_json
@@ -41,12 +40,6 @@ _IDENTITY_TOKENS = ("all",) + tuple(identity.value for identity in IdentityId)
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class CliConfig:
-    index_cap: int = DEFAULT_INDEX_CAP
-    oracle_budget: int = DEFAULT_ENUMERATION_BUDGET
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,26 +114,15 @@ def _env_int(name: str):
         raise UsageError(f"environment variable {name}={raw!r} is not an integer")
 
 
-def _resolve_config(args) -> CliConfig:
-    # flags win over environment, environment over defaults; everything is
-    # validated here, before any computation
-    index_cap = args.index_cap
-    if index_cap is None:
-        index_cap = _env_int(ENV_INDEX_CAP)
-    if index_cap is None:
-        index_cap = DEFAULT_INDEX_CAP
-    if index_cap < 0:
-        raise UsageError(f"index cap must be non-negative, got {index_cap}")
-
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = _env_int(ENV_ORACLE_BUDGET)
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    if budget < 0:
-        raise UsageError(f"oracle budget must be non-negative, got {budget}")
-
-    return CliConfig(index_cap=index_cap, oracle_budget=budget)
+def _limit(flag, env_name: str, default: int, what: str) -> int:
+    # the flag wins over the environment, the environment over the default;
+    # validated before the command computes anything
+    value = flag if flag is not None else _env_int(env_name)
+    if value is None:
+        value = default
+    if value < 0:
+        raise UsageError(f"{what} must be non-negative, got {value}")
+    return value
 
 
 def _render_table(rows, align_right=True) -> str:
@@ -156,8 +138,8 @@ def _render_table(rows, align_right=True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_triangle(args, config) -> int:
-    calc = StirlingCalculator(index_cap=config.index_cap)
+def _cmd_triangle(args, index_cap) -> int:
+    calc = StirlingCalculator(index_cap=index_cap)
     triangle = calc.triangle(StirlingKind.from_token(args.kind), args.rows)
     if args.format == "csv":
         sys.stdout.write(triangle.to_csv())
@@ -170,8 +152,8 @@ def _cmd_triangle(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_value(args, config) -> int:
-    calc = StirlingCalculator(index_cap=config.index_cap)
+def _cmd_value(args, index_cap) -> int:
+    calc = StirlingCalculator(index_cap=index_cap)
     print(calc.value(StirlingKind.from_token(args.kind), args.n, args.m))
     return EXIT_OK
 
@@ -224,11 +206,11 @@ def _print_counterexamples(report):
         print(f"  {where}: lhs={data['lhs']} rhs={data['rhs']}")
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args, index_cap) -> int:
     if args.inject_fault is not None:
-        calc = _parse_fault(args.inject_fault, config.index_cap)
+        calc = _parse_fault(args.inject_fault, index_cap)
     else:
-        calc = StirlingCalculator(index_cap=config.index_cap)
+        calc = StirlingCalculator(index_cap=index_cap)
 
     if args.identity == "all":
         reports = run_all(args.max_index, calc)
@@ -256,13 +238,15 @@ def _cmd_verify(args, config) -> int:
     return EXIT_OK if all_passed else EXIT_VIOLATION
 
 
-def _cmd_oracle_check(args, config) -> int:
+def _cmd_oracle_check(args, index_cap) -> int:
+    budget = _limit(args.budget, ENV_ORACLE_BUDGET, DEFAULT_ENUMERATION_BUDGET,
+                    "oracle budget")
     if args.max_n < 1:
         raise UsageError(f"--max must be at least 1, got {args.max_n}")
-    if args.max_n > config.oracle_budget:
-        raise BudgetExceededError(args.max_n, config.oracle_budget)
+    if args.max_n > budget:
+        raise BudgetExceededError(args.max_n, budget)
 
-    calc = StirlingCalculator(index_cap=config.index_cap)
+    calc = StirlingCalculator(index_cap=index_cap)
     cases = 0
     mismatches = []
     for n in range(1, args.max_n + 1):
@@ -270,11 +254,11 @@ def _cmd_oracle_check(args, config) -> int:
             pairs = (
                 (
                     StirlingKind.FIRST_UNSIGNED,
-                    count_permutations_by_cycles(n, m, config.oracle_budget),
+                    count_permutations_by_cycles(n, m, budget),
                 ),
                 (
                     StirlingKind.SECOND,
-                    count_set_partitions(n, m, config.oracle_budget),
+                    count_set_partitions(n, m, budget),
                 ),
             )
             for kind, counted in pairs:
@@ -292,8 +276,8 @@ def _cmd_oracle_check(args, config) -> int:
     return EXIT_VIOLATION
 
 
-def _cmd_convert(args, config) -> int:
-    calc = StirlingCalculator(index_cap=config.index_cap)
+def _cmd_convert(args, index_cap) -> int:
+    calc = StirlingCalculator(index_cap=index_cap)
     if args.direction == "s1-from-s2":
         converted = calc.first_from_second(args.n, args.m)
         direct = calc.value(StirlingKind.FIRST_SIGNED, args.n, args.m)
@@ -339,19 +323,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = _resolve_config(args)
-    except UsageError as exc:
-        print(f"stirling: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        return _HANDLERS[args.command](args, config)
+        index_cap = _limit(args.index_cap, ENV_INDEX_CAP, DEFAULT_INDEX_CAP, "index cap")
+        return _HANDLERS[args.command](args, index_cap)
     except ResourceLimitError as exc:
         print(f"stirling: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except UsageError as exc:
-        print(f"stirling: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"stirling: {exc}", file=sys.stderr)
         return EXIT_USAGE

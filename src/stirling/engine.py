@@ -15,8 +15,8 @@ never evicting; triangles at the scales this library targets are tiny next to
 memory. Rows are immutable tuples appended under a lock, so concurrent
 readers need no synchronization once a row exists. Every read goes through
 :meth:`StirlingCalculator.row`, which hands out a whole stored row: point
-queries index it, and the identity sweeps and polynomial builders fetch each
-row they need once and slice it, or a column gathered from such rows.
+queries index it, the sweeps fetch each row they need once, and every row of
+the products s·S and S·s comes from one function, ``_product_row``.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -260,6 +260,12 @@ def _columns(rows, width: int) -> list:
     # columns 0..width-1 of the rows 0..top, column k from its entry (k, k) down
     padded = zip_longest(*(row[:width] for row in rows), fillvalue=0)
     return [column[k:] for k, column in enumerate(padded)]
+
+
+def _product_row(row, columns) -> list:
+    # row m of outer·inner from outer row m and the inner columns of _columns:
+    # entry k = sum_{l=k}^{m} outer(m, l) inner(l, k), k = 0..m (zero past m)
+    return [sum(map(mul, row[k:], columns[k])) for k in range(len(row))]
 
 
 def _read_rows(calc: StirlingCalculator, kind: StirlingKind, top: int) -> list:

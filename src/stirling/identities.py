@@ -24,16 +24,16 @@ The catalog:
     eq17  linear term of eq13: S(m, 1) = -sum_{j<m} s(m, j) S(j, 1)
     eq18  linear term of eq15: s(j, 1) = -sum_{m<j} S(j, m) s(m, 1)
 
-Out-of-triangle factors contribute zero everywhere; the eq3/eq4 sums are
-stated over l = 0 .. max(j, k) + 1, and every term outside j <= l <= k has an
-out-of-triangle factor, so only those are summed.
+Out-of-triangle factors contribute zero everywhere, so the eq3/eq4 sums over
+l = 0 .. max(j, k) + 1 are entry (k, j) of the products S·s and s·S; eq11/eq13
+read row m of s·S from coefficient 1, and eq12/eq15 row j of S·s.
 
 Each first-kind/second-kind pair is one function parametrized by which kind
-sits outside the double sum and which inside; the public ``*_first`` and
-``*_second`` names are entry points into it. A sweep reads each row once
-through ``StirlingCalculator.row`` and builds what its sums share once: inner
-row sums or columns, and for eq1/eq2 the source diagonals and Pascal's
-triangle to row 2N - 1. Each inner sum is then one dot product of plain ints.
+sits outside and which inside, behind the public ``*_first``/``*_second``
+names. A sweep reads each row once and builds what its sums share once: inner
+row sums or columns, eq1/eq2's Pascal table and source diagonals, or the rows
+of s·S or S·s from ``engine._product_row``, which the polynomial builders use
+too. Each inner sum is then one dot product of plain ints.
 """
 
 import enum
@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem, mul
 
-from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _read_rows
-from .engine import shared_calculator
+from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product_row
+from .engine import _read_rows, shared_calculator
 from .exact import check_index, dump_json, format_rational
-from .poly import _double_sum
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
@@ -242,16 +241,17 @@ def _sweep_conversion(target, source):
     return _range_triangle, sweep
 
 
-def _sweep_orthogonality(column_kind, row_kind):
+def _sweep_orthogonality(outer, inner):
+    # entry (k, j) of outer·inner, j-major, k >= j: past the diagonal both sides are 0
     def sweep(max_index, calc):
-        columns = _columns(_read_rows(calc, column_kind, max_index), max_index + 1)
-        rows = _read_rows(calc, row_kind, max_index)
-        for j, column in enumerate(columns):
-            for k, row in enumerate(rows):
-                lhs = sum(map(mul, column, row[j:]))
+        columns = _columns(_read_rows(calc, inner, max_index), max_index + 1)
+        rows = _read_rows(calc, outer, max_index)
+        product = [_product_row(row, columns) for row in rows]
+        for j in range(max_index + 1):
+            for k, row in enumerate(product[j:], j):
                 expected = 1 if j == k else 0
-                if lhs != expected:
-                    yield Counterexample({"j": j, "k": k}, lhs, expected)
+                if row[j] != expected:
+                    yield Counterexample({"j": j, "k": k}, row[j], expected)
 
     return _range_grid, sweep
 
@@ -271,18 +271,17 @@ def _sweep_rows(relation, name, outer, inner):
 
 
 def _sweep_poly(name, outer, inner, residual):
-    # integer coefficients against x^index, or (residual) the first index of
-    # them against zero; recorded as Fractions, as the builders' Poly has them
+    # coefficients 1..index of row index of outer·inner against x^index, or
+    # (residual) 1..index-1 against zero; recorded as Fractions, as Poly has them
     def sweep(max_index, calc):
         columns = _columns(_read_rows(calc, inner, max_index), max_index + 1)
         for index in range(1, max_index + 1):
-            built = _double_sum(calc.row(outer, index), columns)
+            built = _product_row(calc.row(outer, index), columns)
             want = [0] * index + [1]
-            if built != want:
-                for k in range(index if residual else index + 1):
-                    if built[k] != want[k]:
-                        lhs, rhs = Fraction(built[k]), Fraction(want[k])
-                        yield Counterexample({name: index, "k": k}, lhs, rhs)
+            for k in range(1, index if residual else index + 1):
+                if built[k] != want[k]:
+                    lhs, rhs = Fraction(built[k]), Fraction(want[k])
+                    yield Counterexample({name: index, "k": k}, lhs, rhs)
 
     return _range_from(1, name), sweep
 
@@ -311,8 +310,8 @@ def _range_from(start, index_name):
 _SWEEPS = {
     IdentityId.CONVERSION_1: _sweep_conversion(_FIRST, _SECOND),
     IdentityId.CONVERSION_2: _sweep_conversion(_SECOND, _FIRST),
-    IdentityId.ORTHOGONALITY_3: _sweep_orthogonality(_FIRST, _SECOND),
-    IdentityId.ORTHOGONALITY_4: _sweep_orthogonality(_SECOND, _FIRST),
+    IdentityId.ORTHOGONALITY_3: _sweep_orthogonality(_SECOND, _FIRST),
+    IdentityId.ORTHOGONALITY_4: _sweep_orthogonality(_FIRST, _SECOND),
     IdentityId.UNIT_SUM_5: _sweep_rows(_UNIT_SUM, "m", _FIRST, _SECOND),
     IdentityId.UNIT_SUM_6: _sweep_rows(_UNIT_SUM, "m", _SECOND, _FIRST),
     IdentityId.BASIS_POLY_11: _sweep_poly("m", _FIRST, _SECOND, False),

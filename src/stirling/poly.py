@@ -5,20 +5,19 @@ first kind outside, second kind inside; the construction must come back out
 as exactly x^m, coefficient for coefficient. ``residual_poly_first(m)`` is
 the same double sum with the degree-m diagonal term split off, after which
 everything cancels: the result must be the zero polynomial. The ``*_second``
-variants swap the roles of the two kinds. All four are one double sum,
-parametrized by which kind sits outside, whose coefficient k is the dot
-product of the outer row with the inner column k.
+variants swap the roles of the two kinds. All four read one row of the
+matrix product outer·inner: coefficient k of the double sum is the product's
+entry (m, k) for k >= 1, and ``engine._product_row`` computes that row.
 
 Coefficients are stored as ``Fraction`` even though the constructions above
 only ever produce integers: evaluation at arbitrary rational points then
-stays closed without a type change. Floats are rejected outright. The
-identity sweeps compare the integer coefficients before any such conversion.
+stays closed without a type change. Floats are rejected outright. The sweeps
+compare the same product rows as integers, before any such conversion.
 """
 
 from fractions import Fraction
-from operator import mul
 
-from .engine import StirlingKind, _columns, _read_rows, shared_calculator
+from .engine import StirlingKind, _columns, _product_row, _read_rows, shared_calculator
 from .exact import check_index, format_rational, parse_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -183,11 +182,7 @@ def _build(m: int, calc, name: str, outer, inner) -> list:
     check_index(m, calc.index_cap, name)
     if m < 1:
         raise ValueError(f"{name} must be at least 1, got {m}")
-    return _double_sum(calc.row(outer, m), _columns(_read_rows(calc, inner, m), m + 1))
-
-
-def _double_sum(row, columns) -> list:
-    # Coefficients 0..m of sum_{j=1}^{m} outer(m, j) sum_{k=1}^{j} inner(j, k) x^k
-    # from outer row m and the inner columns. The only degree-m term is the
-    # diagonal's k = m one, so the residuals are the first m coefficients.
-    return [0, *(sum(map(mul, row[k:], columns[k])) for k in range(1, len(row)))]
+    # coefficient 0 is zero whatever column 0 holds; the only degree-m term is
+    # the diagonal's k = m one, so the residuals are the first m coefficients
+    columns = _columns(_read_rows(calc, inner, m), m + 1)
+    return [0, *_product_row(calc.row(outer, m), columns)[1:]]

@@ -2,8 +2,10 @@
 round-tripping. Everything runs in-process through cli.run()."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,9 +207,26 @@ def test_index_cap_env_and_flag(monkeypatch, capsys):
     assert "STIRLING_INDEX_CAP" in capsys.readouterr().err
 
 
+def test_negative_limits_are_usage_errors(capsys):
+    assert run(["oracle-check", "--max", "3", "--budget", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "stirling: oracle budget must be non-negative, got -1\n"
+    assert run(["--index-cap", "-1", "value", "--kind", "first", "1", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "stirling: index cap must be non-negative, got -1\n"
+
+
+def test_oracle_budget_env_is_read_only_by_oracle_check(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_ORACLE_BUDGET, "x")
+    assert run(["oracle-check", "--max", "3"]) == EXIT_USAGE
+    assert "STIRLING_ORACLE_BUDGET" in capsys.readouterr().err
+    assert run(["value", "--kind", "first", "1", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_console_entry_point_runs():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "stirling.cli", "value", "--kind", "second", "4", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )

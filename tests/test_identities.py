@@ -181,10 +181,11 @@ def test_polynomial_counterexamples_record_coefficients():
         assert ce.lhs != ce.rhs
 
 
-@pytest.mark.parametrize(
-    "kind, n, m, delta",
-    [(SECOND, 4, 3, 2), (FIRST, 9, 4, -1), (SECOND, 11, 0, 1), (FIRST, 12, 12, 3)],
-)
+# faults in each kind, in column 0 and on the diagonal
+SWEEP_FAULTS = [(SECOND, 4, 3, 2), (FIRST, 9, 4, -1), (SECOND, 11, 0, 1), (FIRST, 12, 12, 3)]
+
+
+@pytest.mark.parametrize("kind, n, m, delta", SWEEP_FAULTS)
 def test_polynomial_sweeps_agree_with_the_public_builders(kind, n, m, delta):
     # the sweeps compare integer coefficients without calling the builders;
     # each of their counterexamples must be a coefficient where the public
@@ -208,6 +209,26 @@ def test_polynomial_sweeps_agree_with_the_public_builders(kind, n, m, delta):
         report = run_identity(identity, 12, faulty)
         found = [(ce.indices[name], ce.indices["k"], ce.lhs) for ce in report.counterexamples]
         assert found == mismatches, identity
+
+
+@pytest.mark.parametrize("kind, n, m, delta", SWEEP_FAULTS)
+def test_orthogonality_sweeps_agree_with_the_scalar_check(kind, n, m, delta):
+    # the sweeps read entry (k, j) of whole product rows; each of their
+    # counterexamples must be a cell where the scalar check, which sums rows
+    # j..k one term at a time, differs from the Kronecker delta
+    faulty = PerturbedCalculator(kind, n, m, delta=delta)
+    for identity, mirrored in [(IdentityId.ORTHOGONALITY_3, False),
+                               (IdentityId.ORTHOGONALITY_4, True)]:
+        mismatches = []
+        for j in range(13):
+            for k in range(13):
+                lhs, expected = check_orthogonality(j, k, faulty, mirrored=mirrored)
+                if lhs != expected:
+                    mismatches.append((j, k, lhs))
+        report = run_identity(identity, 12, faulty)
+        found = [(ce.indices["j"], ce.indices["k"], ce.lhs) for ce in report.counterexamples]
+        assert found == mismatches, identity
+        assert all(type(ce.lhs) is int for ce in report.counterexamples)
 
 
 def test_report_json_schema_and_round_trip():
