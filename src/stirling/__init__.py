@@ -5,11 +5,6 @@ catalog. No floating point anywhere."""
 __version__ = "0.1.0"
 
 from .exact import (
-    DEFAULT_INDEX_CAP,
-    IndexLimitError,
-    ResourceLimitError,
-    binomial,
-    check_index,
     factorial,
     format_int,
     format_rational,
@@ -18,34 +13,23 @@ from .exact import (
 )
 from .engine import (
     PerturbedCalculator,
-    StirlingCalculator,
     StirlingKind,
-    Triangle,
     build_triangle,
     first_from_second,
     second_from_first,
-    shared_calculator,
     stirling,
 )
 from .oracle import (
-    BudgetExceededError,
-    DEFAULT_ENUMERATION_BUDGET,
     count_permutations_by_cycles,
     count_set_partitions,
 )
 from .poly import (
     Poly,
     basis_poly_first,
-    basis_poly_second,
-    linear_coefficient,
     poly_eval,
-    residual_poly_first,
-    residual_poly_second,
 )
 from .identities import (
-    Counterexample,
     IdentityId,
-    IdentityReport,
     check_deriv_relation_first,
     check_deriv_relation_second,
     check_orthogonality,
@@ -58,26 +42,14 @@ from .identities import (
 )
 
 __all__ = [
-    "DEFAULT_ENUMERATION_BUDGET",
-    "DEFAULT_INDEX_CAP",
-    "BudgetExceededError",
-    "Counterexample",
     "IdentityId",
-    "IdentityReport",
-    "IndexLimitError",
     "PerturbedCalculator",
     "Poly",
-    "ResourceLimitError",
-    "StirlingCalculator",
     "StirlingKind",
-    "Triangle",
     "basis_poly_first",
-    "basis_poly_second",
-    "binomial",
     "build_triangle",
     "check_deriv_relation_first",
     "check_deriv_relation_second",
-    "check_index",
     "check_orthogonality",
     "check_row_relation_first",
     "check_row_relation_second",
@@ -89,15 +61,11 @@ __all__ = [
     "first_from_second",
     "format_int",
     "format_rational",
-    "linear_coefficient",
     "parse_int",
     "parse_rational",
     "poly_eval",
-    "residual_poly_first",
-    "residual_poly_second",
     "run_all",
     "run_identity",
     "second_from_first",
-    "shared_calculator",
     "stirling",
 ]

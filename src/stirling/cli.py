@@ -270,7 +270,7 @@ def _cmd_oracle_check(args, index_cap) -> int:
     if not mismatches:
         print(f"{cases} cases, all equal")
         return EXIT_OK
-    print(f"{cases} cases, {len(mismatches)} mismatches")
+    print(f"{cases} cases, {len(mismatches)} mismatch{'' if len(mismatches) == 1 else 'es'}")
     for kind, n, m, computed, counted in mismatches:
         print(f"  {kind.value} (n={n}, m={m}): engine={computed} enumeration={counted}")
     return EXIT_VIOLATION

@@ -11,9 +11,10 @@ sign-stripped view |s(n, m)| = (-1)^(n-m) s(n, m); it is derived from the
 signed triangle, never recomputed by a second recurrence.
 
 :class:`StirlingCalculator` memoizes rows per kind, growing row at a time and
-never evicting; triangles at the scales this library targets are tiny next to
-memory. Rows are immutable tuples appended under a lock, so concurrent
-readers need no synchronization once a row exists. Every read goes through
+never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
+N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
+Rows are immutable tuples appended under a lock, so concurrent readers need
+no synchronization once a row exists. Every read goes through
 :meth:`StirlingCalculator.row`, which hands out a whole stored row: point
 queries index it, the sweeps fetch each row they need once, and every row of
 the products s·S and S·s comes from one function, ``_product_row``.
@@ -26,9 +27,9 @@ whole-triangle consistency check.
 
 import enum
 import threading
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import comb
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .exact import DEFAULT_INDEX_CAP, check_index, dump_json
 
@@ -102,17 +103,10 @@ class Triangle:
 
 
 def _next_row(kind: StirlingKind, prev: tuple, n: int) -> tuple:
-    # prev is row n of a base kind; returns row n+1
-    row = [0] * (n + 2)
-    if kind is StirlingKind.FIRST_SIGNED:
-        for m in range(1, n + 2):
-            above = prev[m] if m <= n else 0
-            row[m] = prev[m - 1] - n * above
-    else:
-        for m in range(1, n + 2):
-            above = prev[m] if m <= n else 0
-            row[m] = m * above + prev[m - 1]
-    return tuple(row)
+    # row n+1 of a stored kind from its row n: entry m = prev[m-1] + w_m prev[m]
+    # for m = 1..n with w_m = -n (first kind) or m (second), then the diagonal
+    weights = repeat(-n) if kind is StirlingKind.FIRST_SIGNED else range(1, n + 1)
+    return (0, *map(add, prev, map(mul, weights, prev[1:])), prev[n])
 
 
 class StirlingCalculator:
@@ -274,11 +268,6 @@ def _read_rows(calc: StirlingCalculator, kind: StirlingKind, top: int) -> list:
 
 
 _SHARED = StirlingCalculator()
-
-
-def shared_calculator() -> StirlingCalculator:
-    """The process-wide default calculator (default index cap)."""
-    return _SHARED
 
 
 def stirling(kind: StirlingKind, n: int, m: int) -> int:

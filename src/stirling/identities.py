@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import getitem, mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product_row
-from .engine import _read_rows, shared_calculator
+from .engine import _SHARED, _read_rows
 from .exact import check_index, dump_json, format_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -138,7 +138,7 @@ def check_orthogonality(j: int, k: int, calc=None, mirrored: bool = False):
     ``mirrored=True`` the order flips: sum over l of s(k, l) * S(l, j).
     Both run l = 0 .. max(j, k) + 1 with out-of-triangle factors zero.
     """
-    calc = calc or shared_calculator()
+    calc = calc or _SHARED
     check_index(j, calc.index_cap, "j")
     check_index(k, calc.index_cap, "k")
     column_kind, row_kind = (_SECOND, _FIRST) if mirrored else (_FIRST, _SECOND)
@@ -171,7 +171,7 @@ _DERIV_RELATION = (_deriv_relation, lambda rows: _columns(rows, 2), 2)
 
 
 def _check(relation, name, outer, inner, index, calc):
-    calc = calc or shared_calculator()
+    calc = calc or _SHARED
     evaluate, table, start = relation
     check_index(index, calc.index_cap, name)
     if index < start:
@@ -327,7 +327,7 @@ _SWEEPS = {
 
 def run_identity(identity: IdentityId, max_index: int, calc=None) -> IdentityReport:
     """Sweep one identity up to max_index, collecting every violation."""
-    calc = calc or shared_calculator()
+    calc = calc or _SHARED
     check_index(max_index, calc.index_cap, "max_index")
     describe_range, sweep = _SWEEPS[identity]
     start = time.perf_counter()

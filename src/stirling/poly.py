@@ -17,7 +17,7 @@ compare the same product rows as integers, before any such conversion.
 
 from fractions import Fraction
 
-from .engine import StirlingKind, _columns, _product_row, _read_rows, shared_calculator
+from .engine import _SHARED, StirlingKind, _columns, _product_row, _read_rows
 from .exact import check_index, format_rational, parse_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -178,7 +178,7 @@ def residual_poly_second(j: int, calc=None) -> Poly:
 
 
 def _build(m: int, calc, name: str, outer, inner) -> list:
-    calc = calc or shared_calculator()
+    calc = calc or _SHARED
     check_index(m, calc.index_cap, name)
     if m < 1:
         raise ValueError(f"{name} must be at least 1, got {m}")

@@ -19,6 +19,7 @@ from stirling.cli import (
     run,
 )
 from stirling.exact import dump_json
+from stirling.oracle import count_set_partitions
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +187,22 @@ def test_oracle_check_pass(capsys):
 def test_oracle_check_over_budget_exits_3(capsys):
     assert run(["oracle-check", "--max", "12"]) == EXIT_LIMIT
     assert "budget" in capsys.readouterr().err
+
+
+def test_oracle_check_reports_a_mismatch(monkeypatch, capsys):
+    def off_by_one_at_4_2(n, m, budget):
+        return count_set_partitions(n, m, budget) + ((n, m) == (4, 2))
+
+    monkeypatch.setattr("stirling.cli.count_set_partitions", off_by_one_at_4_2)
+    assert run(["oracle-check", "--max", "5"]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == (
+        "30 cases, 1 mismatch\n  second (n=4, m=2): engine=7 enumeration=8\n"
+    )
+
+
+def test_oracle_check_max_below_one_is_usage_error(capsys):
+    assert run(["oracle-check", "--max", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "stirling: --max must be at least 1, got 0\n"
 
 
 def test_oracle_check_budget_flag_beats_env(monkeypatch, capsys):

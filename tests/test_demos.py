@@ -1,6 +1,9 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""Smoke tests: every script in demos/ runs to completion against src/, and
+the README's library quick tour gives the values its comments state."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +22,33 @@ def test_demo_exits_zero(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+NOT_STATED = object()
+
+
+def _stated_value(comment):
+    # the literal a trailing comment states: the whole comment, or its text up
+    # to the first comma ("# -50, rebuilt from ...")
+    for text in (comment, comment.split(",")[0]):
+        try:
+            return ast.literal_eval(text.strip())
+        except (ValueError, SyntaxError):
+            pass
+    return NOT_STATED
+
+
+def test_readme_quick_tour_values():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        expected = _stated_value(comment)
+        if expected is NOT_STATED:
+            exec(code, namespace)
+        else:
+            assert eval(code, namespace) == expected, line
+            checked.append(expected)
+    assert checked == [7, -50, (0, 1, 3, 1), -50, 7, True, "pass", "1 <= m <= 60 (60 cases)"]

@@ -20,20 +20,10 @@ from stirling.engine import (
 )
 from stirling.exact import IndexLimitError, binomial, dump_json, factorial
 from stirling.identities import IdentityId, run_identity
-from stirling.poly import Poly
 
 FIRST = StirlingKind.FIRST_SIGNED
 UNSIGNED = StirlingKind.FIRST_UNSIGNED
 SECOND = StirlingKind.SECOND
-
-
-def falling_factorial_poly(n):
-    # x (x-1) (x-2) ... (x-n+1); its power-basis coefficients are the
-    # signed first-kind row n, giving an oracle with no recurrence in it
-    p = Poly([1])
-    for i in range(n):
-        p = p * Poly([-i, 1])
-    return p
 
 
 def test_row_zero_is_one_for_all_kinds():
@@ -53,10 +43,21 @@ def test_frozen_small_rows():
 
 
 def test_first_kind_rows_match_falling_factorial_expansion():
-    for n in range(13):
-        expansion = falling_factorial_poly(n)
-        row = build_triangle(FIRST, n).rows[n]
-        assert [expansion.coefficient(m) for m in range(n + 1)] == list(row)
+    # row n holds the power-basis coefficients of x (x-1) ... (x-n+1), expanded
+    # here one linear factor x - n at a time, without the engine
+    expansion = [1]
+    for n, row in enumerate(build_triangle(FIRST, 120).rows):
+        assert list(row) == expansion
+        expansion = [low - n * high for low, high in zip([0, *expansion], [*expansion, 0])]
+
+
+def test_second_kind_rows_match_the_explicit_sum():
+    # m! S(n, m) = sum_{j=0}^{m} (-1)^j C(m, j) (m-j)^n, without the engine
+    for n, row in enumerate(build_triangle(SECOND, 120).rows):
+        assert [factorial(m) * value for m, value in enumerate(row)] == [
+            sum((-1) ** j * binomial(m, j) * (m - j) ** n for j in range(m + 1))
+            for m in range(n + 1)
+        ]
 
 
 def test_special_value_columns():
