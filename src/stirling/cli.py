@@ -17,7 +17,7 @@ import os
 import sys
 
 from .engine import PerturbedCalculator, StirlingCalculator, StirlingKind
-from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, dump_json
+from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, check_limit, dump_json
 from .identities import IdentityId, run_all, run_identity
 from .oracle import (
     BudgetExceededError,
@@ -36,10 +36,6 @@ ENV_ORACLE_BUDGET = "STIRLING_ORACLE_BUDGET"
 
 _KIND_TOKENS = tuple(kind.value for kind in StirlingKind)
 _IDENTITY_TOKENS = ("all",) + tuple(identity.value for identity in IdentityId)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +107,7 @@ def _env_int(name: str):
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"environment variable {name}={raw!r} is not an integer")
+        raise ValueError(f"environment variable {name}={raw!r} is not an integer")
 
 
 def _limit(flag, env_name: str, default: int, what: str) -> int:
@@ -120,9 +116,7 @@ def _limit(flag, env_name: str, default: int, what: str) -> int:
     value = flag if flag is not None else _env_int(env_name)
     if value is None:
         value = default
-    if value < 0:
-        raise UsageError(f"{what} must be non-negative, got {value}")
-    return value
+    return check_limit(value, what)
 
 
 def _render_table(rows, align_right=True) -> str:
@@ -146,9 +140,7 @@ def _cmd_triangle(args, index_cap) -> int:
     elif args.format == "json":
         print(triangle.to_json())
     else:
-        sys.stdout.write(
-            _render_table([[str(v) for v in row] for row in triangle.rows])
-        )
+        sys.stdout.write(_render_table(triangle.to_lists()))
     return EXIT_OK
 
 
@@ -161,12 +153,12 @@ def _cmd_value(args, index_cap) -> int:
 def _parse_fault(fault: str, index_cap: int) -> PerturbedCalculator:
     parts = fault.split(":")
     if len(parts) not in (3, 4):
-        raise UsageError(
+        raise ValueError(
             f"--inject-fault expects KIND:N:M[:DELTA], got {fault!r}"
         )
     kind_token, n_text, m_text = parts[:3]
     if kind_token not in ("first", "second"):
-        raise UsageError(
+        raise ValueError(
             f"--inject-fault kind must be 'first' or 'second', got {kind_token!r}"
         )
     try:
@@ -174,13 +166,13 @@ def _parse_fault(fault: str, index_cap: int) -> PerturbedCalculator:
         m = int(m_text)
         delta = int(parts[3]) if len(parts) == 4 else 1
     except ValueError:
-        raise UsageError(f"--inject-fault expects integer N:M[:DELTA], got {fault!r}")
+        raise ValueError(f"--inject-fault expects integer N:M[:DELTA], got {fault!r}")
     try:
         return PerturbedCalculator(
             StirlingKind.from_token(kind_token), n, m, delta, index_cap=index_cap
         )
     except ValueError as exc:
-        raise UsageError(f"--inject-fault: {exc}")
+        raise ValueError(f"--inject-fault: {exc}")
 
 
 def _report_rows(reports):
@@ -242,7 +234,7 @@ def _cmd_oracle_check(args, index_cap) -> int:
     budget = _limit(args.budget, ENV_ORACLE_BUDGET, DEFAULT_ENUMERATION_BUDGET,
                     "oracle budget")
     if args.max_n < 1:
-        raise UsageError(f"--max must be at least 1, got {args.max_n}")
+        raise ValueError(f"--max must be at least 1, got {args.max_n}")
     if args.max_n > budget:
         raise BudgetExceededError(args.max_n, budget)
 

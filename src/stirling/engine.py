@@ -27,11 +27,20 @@ whole-triangle consistency check.
 
 import enum
 import threading
+from dataclasses import dataclass
 from itertools import repeat, zip_longest
 from math import comb
 from operator import add, mul, sub
 
-from .exact import DEFAULT_INDEX_CAP, check_index, dump_json
+from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
+
+
+def _from_token(enum_cls, token: str, noun: str):
+    for member in enum_cls:
+        if member.value == token:
+            return member
+    valid = ", ".join(member.value for member in enum_cls)
+    raise ValueError(f"unknown {noun} {token!r}; expected one of: {valid}")
 
 
 class StirlingKind(enum.Enum):
@@ -43,49 +52,43 @@ class StirlingKind(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "StirlingKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown triangle kind {token!r}; expected one of: {valid}")
+        return _from_token(cls, token, "triangle kind")
 
 
+@dataclass(frozen=True, repr=False, slots=True)
 class Triangle:
-    """Immutable snapshot of rows 0..max_row of one triangle kind."""
+    """Immutable snapshot of rows 0..max_row of one triangle kind; int entries."""
 
-    __slots__ = ("kind", "rows")
+    kind: StirlingKind
+    rows: tuple
 
-    def __init__(self, kind: StirlingKind, rows):
-        self.kind = kind
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        for n, row in enumerate(self.rows):
+    def __post_init__(self):
+        # one pass: a second one over the unsigned view's fresh entries misses the cache
+        rows = []
+        for n, row in enumerate(map(tuple, self.rows)):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+            for v in row:
+                check_int(v, "triangle entry")
+            rows.append(row)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def max_row(self) -> int:
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple:
-        return self.rows[n]
+        return self.rows[check_limit(n, "n")]
 
     def value(self, n: int, m: int) -> int:
         """Entry (n, m); zero outside the triangle. n must be a stored row."""
-        if n < 0 or m < 0:
+        if check_int(n, "n") < 0 or check_int(m, "m") < 0:
             raise ValueError(f"indices must be non-negative, got n={n}, m={m}")
         if n >= len(self.rows):
             raise ValueError(f"row {n} is not stored (max_row={self.max_row})")
         if m > n:
             return 0
         return self.rows[n][m]
-
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self.kind is other.kind and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.kind, self.rows))
 
     def __repr__(self):
         return f"Triangle({self.kind.value!r}, rows=0..{self.max_row})"
@@ -119,7 +122,7 @@ class StirlingCalculator:
     """
 
     def __init__(self, index_cap: int = DEFAULT_INDEX_CAP):
-        self.index_cap = index_cap
+        self.index_cap = check_limit(index_cap, "index cap")
         self._rows = {
             StirlingKind.FIRST_SIGNED: [(1,)],
             StirlingKind.SECOND: [(1,)],
@@ -217,7 +220,7 @@ class PerturbedCalculator(StirlingCalculator):
         check_index(m, index_cap, "m")
         if m > n:
             raise ValueError(f"(n={n}, m={m}) lies outside the triangle")
-        if delta == 0:
+        if check_int(delta, "delta") == 0:
             raise ValueError("delta must be nonzero")
         self.target = (kind, n, m)
         self.delta = delta

@@ -1,11 +1,12 @@
-"""Exact arithmetic substrate: index guard rails, binomials, factorials,
-and canonical text forms.
+"""Exact arithmetic substrate: exactness and index guards, binomials,
+factorials, and canonical text forms.
 
-Integers are plain ``int`` and rationals are ``fractions.Fraction``, so every
-operation in this package is exact for operands of any size. What this module
-adds on top is a configurable cap on index-like arguments (a rail against
-typo-sized requests allocating forever, not a correctness bound) and the
-canonical string and JSON forms used by all machine output.
+Integers are plain ``int`` and rationals ``fractions.Fraction``, exact at any
+size. The package's only exactness tests are :func:`check_int` (a plain int,
+not a bool or other subclass) and :func:`check_rational` (what ``Fraction``
+accepts, not a float). On top come a configurable cap on index-like arguments
+(a rail against typo-sized requests allocating forever, not a correctness
+bound) and the canonical string and JSON forms used by all machine output.
 """
 
 import json
@@ -39,11 +40,30 @@ class IndexLimitError(ResourceLimitError):
         self.cap = cap
 
 
+def check_int(value, name: str) -> int:
+    """Return value if it is a plain int; a bool or other int subclass is not."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
+def check_rational(value) -> Fraction:
+    """value as a Fraction: anything Fraction accepts except a float."""
+    if isinstance(value, float):
+        raise TypeError("floats are not exact; use Fraction, int, or a 'p/q' string")
+    return Fraction(value)
+
+
+def check_limit(value: int, name: str) -> int:
+    """Validate a non-negative, uncapped int (a cap, a budget, a power); return it."""
+    if check_int(value, name) < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def check_index(value: int, cap: int = DEFAULT_INDEX_CAP, name: str = "index") -> int:
     """Validate one non-negative, capped index argument and return it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
+    if check_int(value, name) < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     if value > cap:
         raise IndexLimitError(name, value, cap)
@@ -54,9 +74,7 @@ def binomial(n: int, k: int, cap: int = DEFAULT_INDEX_CAP) -> int:
     """C(n, k), exactly. k outside 0..n yields 0 rather than an error, so
     sums with unconditional bounds can be written without edge guards."""
     check_index(n, cap, "n")
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
-    if k < 0 or k > n:
+    if check_int(k, "k") < 0 or k > n:
         return 0
     return math.comb(n, k)
 
@@ -74,9 +92,7 @@ def _ascii_minus(text: str) -> str:
 
 def format_int(value: int) -> str:
     """Exact decimal form with ASCII minus sign."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected int, got {type(value).__name__}")
-    return str(value)
+    return str(check_int(value, "value"))
 
 
 def parse_int(text: str) -> int:
@@ -86,9 +102,7 @@ def parse_int(text: str) -> int:
 
 def format_rational(value) -> str:
     """Exact "p/q" form, with "/q" omitted when the denominator is 1."""
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass Fraction or int")
-    f = Fraction(value)
+    f = check_rational(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import getitem, mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product_row
-from .engine import _SHARED, _read_rows
+from .engine import _SHARED, _from_token, _read_rows
 from .exact import check_index, dump_json, format_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -70,11 +70,7 @@ class IdentityId(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "IdentityId":
-        for identity in cls:
-            if identity.value == token:
-                return identity
-        valid = ", ".join(i.value for i in cls)
-        raise ValueError(f"unknown identity {token!r}; expected one of: {valid}")
+        return _from_token(cls, token, "identity")
 
 
 @dataclass(frozen=True)

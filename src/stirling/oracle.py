@@ -13,7 +13,7 @@ partitions), hence the budget rail.
 from functools import lru_cache
 from itertools import permutations
 
-from .exact import ResourceLimitError
+from .exact import ResourceLimitError, check_int, check_limit
 
 DEFAULT_ENUMERATION_BUDGET = 10
 
@@ -31,9 +31,9 @@ class BudgetExceededError(ResourceLimitError):
 
 
 def _check_args(n: int, m: int, budget: int):
-    for name, value in (("n", n), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    check_int(n, "n")
+    check_int(m, "m")
+    check_limit(budget, "oracle budget")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if m < 0:

@@ -18,16 +18,10 @@ compare the same product rows as integers, before any such conversion.
 from fractions import Fraction
 
 from .engine import _SHARED, StirlingKind, _columns, _product_row, _read_rows
-from .exact import check_index, format_rational, parse_rational
+from .exact import check_index, check_limit, check_rational, format_rational, parse_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; use Fraction, int, or a 'p/q' string")
-    return Fraction(value)
 
 
 class Poly:
@@ -41,15 +35,14 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_exact(c) for c in coeffs]
+        cs = [check_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
-        if power < 0:
-            raise ValueError(f"power must be non-negative, got {power}")
+        check_limit(power, "power")
         return cls([0] * power + [coeff])
 
     @property
@@ -65,15 +58,13 @@ class Poly:
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x^power (zero beyond the stored degree)."""
-        if power < 0:
-            raise ValueError(f"power must be non-negative, got {power}")
-        if power >= len(self._coeffs):
+        if check_limit(power, "power") >= len(self._coeffs):
             return Fraction(0)
         return self._coeffs[power]
 
     def evaluate(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        x = _exact(x)
+        x = check_rational(x)
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * x + c
@@ -118,7 +109,7 @@ class Poly:
                 for j, b in enumerate(other._coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly([c * _exact(other) for c in self._coeffs])
+        return Poly([c * check_rational(other) for c in self._coeffs])
 
     __rmul__ = __mul__
 

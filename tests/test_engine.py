@@ -1,6 +1,7 @@
 """Engine tests: recurrence-built triangles against frozen oracle values,
 special-value columns, conversions, memoization, concurrency, exports."""
 
+import dataclasses
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -184,6 +185,26 @@ def test_conversion_domain_errors():
             second_from_first(*bad)
 
 
+@pytest.mark.parametrize("cap, error, message", [
+    ("10", TypeError, "index cap must be an int, got str"),
+    (2.5, TypeError, "index cap must be an int, got float"),
+    (True, TypeError, "index cap must be an int, got bool"),
+    (-1, ValueError, "index cap must be non-negative, got -1"),
+])
+def test_index_cap_must_be_a_non_negative_int(cap, error, message):
+    with pytest.raises(error, match=message):
+        StirlingCalculator(index_cap=cap)
+
+
+def test_kind_token_lookup():
+    assert StirlingKind.from_token("first-unsigned") is UNSIGNED
+    with pytest.raises(ValueError) as info:
+        StirlingKind.from_token("third")
+    assert str(info.value) == (
+        "unknown triangle kind 'third'; expected one of: first, first-unsigned, second"
+    )
+
+
 def test_index_cap_enforced():
     calc = StirlingCalculator(index_cap=50)
     assert calc.value(SECOND, 50, 10) > 0
@@ -215,6 +236,13 @@ def test_triangle_snapshot_accessors():
         tri.value(5, 1)
     with pytest.raises(ValueError):
         tri.value(-1, 0)
+    for n, m in [(True, 0), (1.5, 3), (4, 5.0)]:
+        with pytest.raises(TypeError):
+            tri.value(n, m)
+    with pytest.raises(TypeError):
+        tri.row(2.0)
+    with pytest.raises(ValueError):
+        tri.row(-1)
     assert tri == build_triangle(SECOND, 4)
     assert tri != build_triangle(FIRST, 4)
 
@@ -222,6 +250,25 @@ def test_triangle_snapshot_accessors():
 def test_triangle_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Triangle(SECOND, [(1,), (0, 1, 9)])
+
+
+@pytest.mark.parametrize("rows", [[(1.9,)], [(1,), (0, True)], [("1",)]])
+def test_triangle_rejects_inexact_entries(rows):
+    with pytest.raises(TypeError, match="triangle entry must be an int"):
+        Triangle(SECOND, rows)
+
+
+def test_triangle_is_a_frozen_value_sharing_the_memo_rows():
+    calc = StirlingCalculator()
+    tri = calc.triangle(SECOND, 5)
+    assert tri.rows[3] is calc.row(SECOND, 3)
+    twin = Triangle(SECOND, [list(row) for row in tri.rows])
+    assert twin == tri and twin is not tri
+    assert hash(twin) == hash(tri) == hash((SECOND, tri.rows))
+    assert tri != Triangle(FIRST, tri.rows)
+    assert repr(tri) == "Triangle('second', rows=0..5)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tri.rows = ()
 
 
 def test_csv_export():
@@ -301,3 +348,6 @@ def test_perturbed_calculator_argument_validation():
         PerturbedCalculator(SECOND, 3, 4)
     with pytest.raises(ValueError):
         PerturbedCalculator(SECOND, 3, 1, delta=0)
+    for inexact in (0.5, True):
+        with pytest.raises(TypeError, match="delta must be an int"):
+            PerturbedCalculator(SECOND, 3, 1, delta=inexact)

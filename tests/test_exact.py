@@ -12,6 +12,9 @@ from stirling.exact import (
     IndexLimitError,
     binomial,
     check_index,
+    check_int,
+    check_limit,
+    check_rational,
     dump_json,
     factorial,
     format_int,
@@ -100,13 +103,35 @@ def test_index_guard_rails():
         check_index(501, cap=500)
 
 
+class Small(int):
+    """An int subclass; rejected exactly where bool is."""
+
+
+def test_exactness_guards():
+    assert check_int(7, "n") == 7
+    for inexact in (True, Small(7), 7.0, "7", Fraction(7)):
+        with pytest.raises(TypeError, match="^n must be an int, got "):
+            check_int(inexact, "n")
+    with pytest.raises(TypeError):
+        check_index(Small(3))
+    with pytest.raises(TypeError, match="k must be an int, got float"):
+        binomial(5, 2.0)
+    assert check_rational("2/4") == Fraction(1, 2)
+    assert check_rational(3) == Fraction(3)
+    with pytest.raises(TypeError, match="floats are not exact"):
+        check_rational(0.5)
+    assert check_limit(0, "oracle budget") == 0
+    with pytest.raises(ValueError, match="oracle budget must be non-negative, got -1"):
+        check_limit(-1, "oracle budget")
+
+
 def test_int_codec():
     assert format_int(-5) == "-5"
     assert format_int(0) == "0"
     assert parse_int("123456789012345678901234567890") == 123456789012345678901234567890
     assert parse_int(" -42 ") == -42
     assert parse_int("−7") == -7  # typographic minus tolerated on input
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="value must be an int, got float"):
         format_int(1.5)
 
 

@@ -92,6 +92,15 @@ def test_budget_is_enforced_and_configurable():
     assert count_set_partitions(9, 2, budget=9) > 0
 
 
+@pytest.mark.parametrize("budget, error", [("9", TypeError), (9.5, TypeError),
+                                           (-1, ValueError)])
+def test_budget_must_be_a_non_negative_int(budget, error):
+    with pytest.raises(error, match="oracle budget must be"):
+        count_set_partitions(3, 1, budget=budget)
+    with pytest.raises(error, match="oracle budget must be"):
+        count_permutations_by_cycles(3, 1, budget=budget)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumeration_agrees_with_engine(n):
     for m in range(1, n + 1):

@@ -1,6 +1,7 @@
 """Polynomial tests: canonical form, exact evaluation, the triangle-driven
 monomial and residual constructions, and the JSON codec."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,19 @@ def test_floats_are_rejected():
         Poly([1]) * 0.5
 
 
+def test_value_protocol():
+    p = Poly([Fraction(1, 2), 0, -3])
+    assert repr(p) == "Poly([1/2, 0, -3])"
+    assert repr(Poly()) == "Poly()"
+    assert p and not Poly()
+    assert hash(p) == hash(Poly([Fraction(2, 4), 0, -3, 0]))
+    assert p.__eq__([Fraction(1, 2), 0, -3]) is NotImplemented
+    assert p != [Fraction(1, 2), 0, -3]
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(p, 1)
+
+
 def test_eval_examples():
     assert poly_eval(Poly(), Fraction(9, 2)) == 0
     assert poly_eval(Poly([0, 1]), Fraction(3, 7)) == Fraction(3, 7)
@@ -72,6 +86,13 @@ def test_monomial():
     assert Poly.monomial(0) == Poly([1])
     assert Poly.monomial(3).coeffs == (0, 0, 0, 1)
     assert Poly.monomial(2, Fraction(1, 2)).evaluate(4) == 8
+    with pytest.raises(ValueError, match="power must be non-negative, got -1"):
+        Poly.monomial(-1)
+    for inexact in (True, 2.0, 2.5):
+        with pytest.raises(TypeError, match="power must be an int"):
+            Poly.monomial(inexact)
+        with pytest.raises(TypeError, match="power must be an int"):
+            Poly([1]).coefficient(inexact)
 
 
 def test_linear_coefficient_examples():
