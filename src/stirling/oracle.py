@@ -3,15 +3,17 @@
 Counts permutations by cycle count and set partitions by block count, one
 object at a time. Nothing here shares code, recurrences, or triangles with
 the engine; that independence is the whole point of an oracle, so do not
-"optimize" these by delegating to it. The only speedup allowed is memoizing
-a finished census so repeated point queries do not re-enumerate.
+"optimize" these by delegating to it, by a recurrence in n, or by a statistic
+that merely has the same distribution. Every permutation is visited; its
+cycle count comes from its predecessor's count, one transposition and one
+walk along its own array. A finished census is memoized so repeated point
+queries do not re-enumerate.
 
 Costs grow factorially (10! = 3 628 800 permutations, Bell(10) = 115 975
 partitions), hence the budget rail.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 from .exact import ResourceLimitError, check_int, check_limit
 
@@ -45,7 +47,7 @@ def _check_args(n: int, m: int, budget: int):
 def count_permutations_by_cycles(n: int, m: int,
                                  budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Number of permutations of an n-set with exactly m cycles, found by
-    enumerating all n! permutations and walking the cycles of each one."""
+    enumerating all n! permutations and counting the cycles of each one."""
     _check_args(n, m, budget)
     if m > n:
         return 0
@@ -64,21 +66,37 @@ def count_set_partitions(n: int, m: int,
 
 @lru_cache(maxsize=None)
 def _permutation_cycle_census(n: int) -> tuple:
-    """counts[m] = permutations of range(n) with exactly m cycles."""
+    """counts[m] = permutations of range(n) with exactly m cycles.
+
+    Heap's algorithm (iterative; c[i] counts the swaps made at level i)
+    visits all n! permutations of one array, starting from the identity with
+    n cycles. Each step swaps positions a and i, which composes the
+    permutation with the transposition (a i). That splits the cycle through
+    a and i if both lie on it (+1 cycle) and merges their two cycles
+    otherwise (-1), so walking from perm[a] until the walk meets a or i
+    tells which.
+    """
     counts = [0] * (n + 1)
-    indices = range(n)
-    for perm in permutations(indices):
-        seen = 0
-        cycles = 0
-        for i in indices:
-            if seen >> i & 1:
-                continue
-            cycles += 1
-            j = i
-            while not seen >> j & 1:
-                seen |= 1 << j
+    counts[n] = 1
+    perm = list(range(n))
+    cycles = n
+    c = [0] * n
+    i = 1
+    while i < n:
+        k = c[i]
+        if k < i:
+            a = k if i & 1 else 0
+            j = perm[a]
+            while j != a and j != i:
                 j = perm[j]
-        counts[cycles] += 1
+            cycles += 1 if j == i else -1
+            perm[a], perm[i] = perm[i], perm[a]
+            counts[cycles] += 1
+            c[i] = k + 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
     return tuple(counts)
 
 

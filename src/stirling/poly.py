@@ -109,7 +109,8 @@ class Poly:
                 for j, b in enumerate(other._coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly([c * check_rational(other) for c in self._coeffs])
+        scalar = check_rational(other)
+        return Poly([c * scalar for c in self._coeffs])
 
     __rmul__ = __mul__
 

@@ -1,14 +1,39 @@
 """Oracle tests: the enumerators against hand counts, an independent
-block-insertion enumerator, and the recurrence engine."""
+cycle walker, an independent block-insertion enumerator, and the recurrence
+engine."""
+
+from itertools import permutations
 
 import pytest
 
 from stirling.engine import StirlingKind, stirling
 from stirling.oracle import (
     BudgetExceededError,
+    _permutation_cycle_census,
     count_permutations_by_cycles,
     count_set_partitions,
 )
+
+
+# census of range(n) by cycles, walking every cycle of every permutation that
+# itertools yields; independent of the oracle's transposition-by-transposition
+# update
+def walked_cycle_census(n):
+    counts = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        seen = 0
+        cycles = 0
+        for i in range(n):
+            if seen >> i & 1:
+                continue
+            cycles += 1
+            j = i
+            while not seen >> j & 1:
+                seen |= 1 << j
+                j = perm[j]
+        counts[cycles] += 1
+    return tuple(counts)
+
 
 # partitions of an n-set built by inserting each element into every existing
 # block or a new one; independent of the restricted-growth-string enumerator
@@ -43,6 +68,11 @@ def test_permutation_census_sums_to_factorial():
         for i in range(1, n + 1):
             expected *= i
         assert total == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_census_matches_cycle_walk(n):
+    assert _permutation_cycle_census(n) == walked_cycle_census(n)
 
 
 def test_partition_examples():

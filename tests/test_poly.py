@@ -44,6 +44,10 @@ def test_floats_are_rejected():
         Poly([1]).evaluate(0.25)
     with pytest.raises(TypeError):
         Poly([1]) * 0.5
+    with pytest.raises(TypeError):
+        Poly() * 1.5
+    with pytest.raises(TypeError):
+        1.5 * Poly()
 
 
 def test_value_protocol():
