@@ -6,7 +6,7 @@ Exit codes are part of the contract and stable across versions:
     0   all requested checks passed
     1   at least one identity violation was found
     2   usage error (bad arguments, unknown identity or kind)
-    3   resource limit (index cap or enumeration budget exceeded)
+    3   resource limit (index cap or enumeration budget exceeded, or out of memory)
 
 All numeric output is exact decimal; the machine formats (csv, json)
 re-serialize byte for byte.
@@ -238,26 +238,23 @@ def _cmd_oracle_check(args, index_cap) -> int:
     if args.max_n > budget:
         raise BudgetExceededError(args.max_n, budget)
 
+    # every entry of both triangles to --max: one snapshot each, not one walk per entry
     calc = StirlingCalculator(index_cap=index_cap)
+    unsigned = calc.triangle(StirlingKind.FIRST_UNSIGNED, args.max_n)
+    second = calc.triangle(StirlingKind.SECOND, args.max_n)
     cases = 0
     mismatches = []
     for n in range(1, args.max_n + 1):
         for m in range(1, n + 1):
             pairs = (
-                (
-                    StirlingKind.FIRST_UNSIGNED,
-                    count_permutations_by_cycles(n, m, budget),
-                ),
-                (
-                    StirlingKind.SECOND,
-                    count_set_partitions(n, m, budget),
-                ),
+                (unsigned, count_permutations_by_cycles(n, m, budget)),
+                (second, count_set_partitions(n, m, budget)),
             )
-            for kind, counted in pairs:
+            for triangle, counted in pairs:
                 cases += 1
-                computed = calc.value(kind, n, m)
+                computed = triangle.value(n, m)
                 if computed != counted:
-                    mismatches.append((kind, n, m, computed, counted))
+                    mismatches.append((triangle.kind, n, m, computed, counted))
 
     if not mismatches:
         print(f"{cases} cases, all equal")
@@ -319,6 +316,9 @@ def run(argv=None) -> int:
         return _HANDLERS[args.command](args, index_cap)
     except ResourceLimitError as exc:
         print(f"stirling: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError:
+        print("stirling: out of memory for this request", file=sys.stderr)
         return EXIT_LIMIT
     except ValueError as exc:
         print(f"stirling: {exc}", file=sys.stderr)

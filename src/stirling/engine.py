@@ -14,10 +14,15 @@ signed triangle, never recomputed by a second recurrence.
 never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
 N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
-no synchronization once a row exists. Every read goes through
-:meth:`StirlingCalculator.row`, which hands out a whole stored row: point
-queries index it, the sweeps fetch each row they need once, and every row of
-the products s·S and S·s comes from one function, ``_product_row``.
+no synchronization once a row exists. Entries are read two ways. Whole rows
+come from :meth:`StirlingCalculator.row`, which fills the memo: triangles and
+conversions read them there, the sweeps fetch each row they need once, and
+every row of the products s·S and S·s comes from one function,
+``_product_row``. A point query, :meth:`StirlingCalculator.value`, reads row
+n if the memo holds it; otherwise it walks up from the memo's last row
+through only the columns that reach (n, m), storing nothing, so it runs in
+O((n - h) min(m, n - m)) steps and one band of memory. The walk and the row
+fill take the same step, ``_next_row``.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -105,20 +110,35 @@ class Triangle:
         return dump_json(self.to_lists())
 
 
-def _next_row(kind: StirlingKind, prev: tuple, n: int) -> tuple:
-    # row n+1 of a stored kind from its row n: entry m = prev[m-1] + w_m prev[m]
-    # for m = 1..n with w_m = -n (first kind) or m (second), then the diagonal
-    weights = repeat(-n) if kind is StirlingKind.FIRST_SIGNED else range(1, n + 1)
-    return (0, *map(add, prev, map(mul, weights, prev[1:])), prev[n])
+def _next_row(kind: StirlingKind, prev: tuple, n: int, lo: int = 0) -> tuple:
+    # columns lo..hi+1 of row n+1 of a stored kind from columns lo..hi of its row
+    # n: entry m = prev[m-1] + w_m prev[m] for m = lo+1..hi with w_m = -n (first
+    # kind) or m (second), flanked by 0 and prev[hi]. The 0 is column lo only
+    # when lo = 0 and prev[hi] the diagonal only when hi = n: a whole row (lo = 0,
+    # hi = n) is exact, and a band drops the flanks it has not reached.
+    weights = repeat(-n) if kind is StirlingKind.FIRST_SIGNED else range(lo + 1, lo + len(prev))
+    return (0, *map(add, prev, map(mul, weights, prev[1:])), prev[-1])
+
+
+def _walk(kind: StirlingKind, row: tuple, h: int, n: int, m: int) -> int:
+    # entry (n, m) from row h < n, keeping of row k only the columns that reach
+    # (n, m), max(0, m-(n-k))..min(k, m): at most min(m, n-m) + 1 entries
+    lo = max(0, m - (n - h))
+    band = row[lo:m + 1]
+    for k in range(h, n):
+        next_lo = max(0, m - (n - k - 1))
+        band = _next_row(kind, band, k, lo)[next_lo - lo:m + 1 - lo]
+        lo = next_lo
+    return band[0]
 
 
 class StirlingCalculator:
-    """Memoizing point-query facade over both triangles.
+    """Point queries and memoized rows over both triangles.
 
     All public index arguments are validated against ``index_cap``. Reads of
-    already-built rows are lock-free; growth happens under a lock, appending
-    immutable tuples, so values returned to concurrent callers are always
-    consistent with the sequential ones.
+    already-built rows and walks past them are lock-free; growth happens
+    under a lock, appending immutable tuples, so values returned to
+    concurrent callers are always consistent with the sequential ones.
     """
 
     def __init__(self, index_cap: int = DEFAULT_INDEX_CAP):
@@ -131,24 +151,35 @@ class StirlingCalculator:
 
     def value(self, kind: StirlingKind, n: int, m: int) -> int:
         """Stirling number of the given kind at (n, m); zero outside the
-        triangle, memoized inside it."""
+        triangle. Read from row n if the memo holds it, else walked to from
+        the memo's last row without storing one."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if m > n:
             return 0
         if kind is not StirlingKind.FIRST_UNSIGNED:
-            return self.row(kind, n)[m]
-        signed = self.row(StirlingKind.FIRST_SIGNED, n)[m]
+            return self._entry(kind, n, m)
+        signed = self._entry(StirlingKind.FIRST_SIGNED, n, m)
         return -signed if (n - m) % 2 else signed
+
+    def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
+        # entry (n, m), m <= n, of a stored kind: from the memo, or walked to
+        # from its last row h. No lock: rows only ever get appended, so row h
+        # stays row h while other threads grow the memo.
+        rows = self._rows[kind]
+        h = len(rows) - 1
+        if n <= h:
+            return rows[n][m]
+        return _walk(kind, rows[h], h, n, m)
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
         n + 1 entries, built on first use.
 
-        The single read path: everything in the package reads entries out
-        of these rows, which is what lets PerturbedCalculator offset one
-        entry for every consumer at once. No cap check: internal callers
-        may legitimately reach derived indices past the public cap.
+        The read path of everything but :meth:`value`: triangles,
+        conversions, sweeps and polynomial builders read entries out of
+        these rows. No cap check: internal callers may legitimately reach
+        derived indices past the public cap.
         """
         rows = self._rows.get(kind)
         if rows is None:
@@ -199,12 +230,13 @@ class StirlingCalculator:
 
 
 class PerturbedCalculator(StirlingCalculator):
-    """Calculator whose row holding one stored entry comes back with that
-    entry offset by delta.
+    """Calculator whose one stored entry comes back offset by delta.
 
-    Only the copy handed out by :meth:`row` carries the offset; the memoized
-    row stays pristine, so rows built later by the recurrence are the
-    healthy ones and the fault never spreads past its own entry.
+    Both reads carry the fault: the copy of its row handed out by
+    :meth:`row`, and the entry :meth:`value` reads, whether from the memo or
+    by a walk past it. The memoized row stays pristine, so rows built later
+    by the recurrence, and walks that start from it, are the healthy ones
+    and the fault never spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -224,6 +256,10 @@ class PerturbedCalculator(StirlingCalculator):
             raise ValueError("delta must be nonzero")
         self.target = (kind, n, m)
         self.delta = delta
+
+    def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
+        entry = super()._entry(kind, n, m)
+        return entry + self.delta if (kind, n, m) == self.target else entry
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         row = super().row(kind, n)

@@ -48,7 +48,10 @@ def check_int(value, name: str) -> int:
 
 
 def check_rational(value) -> Fraction:
-    """value as a Fraction: anything Fraction accepts except a float."""
+    """value as a Fraction: anything Fraction accepts except a float. A
+    Fraction itself comes back as the same object; a subclass is converted."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; use Fraction, int, or a 'p/q' string")
     return Fraction(value)

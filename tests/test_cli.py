@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,13 @@ from stirling.cli import (
 )
 from stirling.exact import dump_json
 from stirling.oracle import count_set_partitions
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -240,12 +248,40 @@ def test_oracle_budget_env_is_read_only_by_oracle_check(monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "stirling.cli", "value", "--kind", "second", "4", "2"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("argv, code, out", [
+    (["value", "--kind", "second", "3000", "1"], EXIT_OK, "1\n"),
+    (["value", "--kind", "first", "3000", "2999"], EXIT_OK, "-4498500\n"),
+    (["value", "--kind", "first-unsigned", "3000", "1"], EXIT_OK, f"{factorial(2999)}\n"),
+    (["triangle", "--kind", "second", "--rows", "3000", "--format", "csv"], EXIT_LIMIT, ""),
+], ids=["second", "first", "first-unsigned", "triangle"])
+def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, out):
+    # a point query walks one band of columns and stores no row, so it
+    # finishes in 400 MiB; a whole triangle of 3000 rows cannot, and must
+    # say so in one line with exit 3, not a traceback with exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "stirling.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == EXIT_LIMIT:
+        assert proc.stderr == "stirling: out of memory for this request\n"

@@ -1,5 +1,6 @@
-"""Smoke tests: every script in demos/ runs to completion against src/, and
-the README's library quick tour gives the values its comments state."""
+"""Smoke tests: every script in demos/ runs to completion against src/ and
+prints the same stdout on every run, and the README's library quick tour
+gives the values its comments state."""
 
 import ast
 import os
@@ -17,11 +18,18 @@ ROOT = Path(__file__).resolve().parent.parent
     "script", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
 )
 def test_demo_exits_zero(script):
+    # twice, with the same stdout: timings go to stderr, so stdout compares
+    # byte for byte across runs and trees
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+    runs = [
+        subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        )
+        for _ in range(2)
+    ]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 NOT_STATED = object()

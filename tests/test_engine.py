@@ -4,6 +4,7 @@ special-value columns, conversions, memoization, concurrency, exports."""
 import dataclasses
 import json
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -43,22 +44,69 @@ def test_frozen_small_rows():
         StirlingCalculator().row(UNSIGNED, 3)
 
 
-def test_first_kind_rows_match_falling_factorial_expansion():
-    # row n holds the power-basis coefficients of x (x-1) ... (x-n+1), expanded
-    # here one linear factor x - n at a time, without the engine
-    expansion = [1]
-    for n, row in enumerate(build_triangle(FIRST, 120).rows):
-        assert list(row) == expansion
+def falling_factorial_rows(top):
+    # rows 0..top of the signed first kind without the engine: row n holds the
+    # power-basis coefficients of x (x-1) ... (x-n+1), expanded one linear
+    # factor x - n at a time
+    rows, expansion = [], [1]
+    for n in range(top + 1):
+        rows.append(expansion)
         expansion = [low - n * high for low, high in zip([0, *expansion], [*expansion, 0])]
+    return rows
+
+
+def factorial_times_second(n, m):
+    # m! S(n, m) = sum_{j=0}^{m} (-1)^j C(m, j) (m-j)^n, without the engine
+    return sum((-1) ** j * binomial(m, j) * (m - j) ** n for j in range(m + 1))
+
+
+def test_first_kind_rows_match_falling_factorial_expansion():
+    assert [list(row) for row in build_triangle(FIRST, 120).rows] == falling_factorial_rows(120)
 
 
 def test_second_kind_rows_match_the_explicit_sum():
-    # m! S(n, m) = sum_{j=0}^{m} (-1)^j C(m, j) (m-j)^n, without the engine
     for n, row in enumerate(build_triangle(SECOND, 120).rows):
         assert [factorial(m) * value for m, value in enumerate(row)] == [
-            sum((-1) ** j * binomial(m, j) * (m - j) ** n for j in range(m + 1))
-            for m in range(n + 1)
+            factorial_times_second(n, m) for m in range(n + 1)
         ]
+
+
+def test_walks_past_the_memo_match_whole_rows_and_store_nothing():
+    # value() reads row n if the memo holds it (horizon h >= n) and otherwise
+    # walks the band of columns that reaches (n, m) up from row h; either way
+    # it must give the entry of the whole row and leave the memo as it was
+    rng = random.Random(8)
+    first_rows = falling_factorial_rows(302)
+    whole = StirlingCalculator()
+    for n in (300, 1, *rng.sample(range(2, 300), 4)):
+        columns = {0, 1, n // 2, n - 1, n, n + 1, rng.randint(0, n)}
+        for h in (0, rng.randrange(n), n + rng.randrange(3)):
+            calc = StirlingCalculator()
+            for stored in (FIRST, SECOND):
+                calc.row(stored, h)
+            for m in sorted(columns):
+                first, second = calc.value(FIRST, n, m), calc.value(SECOND, n, m)
+                assert calc.value(UNSIGNED, n, m) == abs(first), (n, m, h)
+                if m > n:
+                    assert first == second == 0
+                    continue
+                assert first == first_rows[n][m] == whole.row(FIRST, n)[m], (n, m, h)
+                assert second == whole.row(SECOND, n)[m], (n, m, h)
+                assert factorial(m) * second == factorial_times_second(n, m), (n, m, h)
+            assert [len(calc._rows[stored]) for stored in (FIRST, SECOND)] == [h + 1, h + 1]
+
+
+def test_perturbed_offset_shows_through_a_walk_and_a_memo_read():
+    healthy = StirlingCalculator()
+    fault = PerturbedCalculator(SECOND, 300, 7)
+    assert fault.value(SECOND, 300, 7) == healthy.row(SECOND, 300)[7] + 1
+    assert len(fault._rows[SECOND]) == 1
+    assert fault.value(SECOND, 301, 7) == healthy.row(SECOND, 301)[7]
+    assert fault.value(SECOND, 300, 8) == healthy.row(SECOND, 300)[8]
+    assert fault.value(FIRST, 300, 7) == healthy.row(FIRST, 300)[7]
+    # once row 300 is memoized the offset is applied once, not twice
+    assert fault.row(SECOND, 300)[7] == healthy.row(SECOND, 300)[7] + 1
+    assert fault.value(SECOND, 300, 7) == healthy.row(SECOND, 300)[7] + 1
 
 
 def test_special_value_columns():
@@ -287,6 +335,8 @@ def test_json_export_is_decimal_strings_and_round_trips():
 
 def test_concurrent_point_queries_match_sequential():
     reference = StirlingCalculator()
+    reference.triangle(FIRST, 39)
+    reference.triangle(SECOND, 39)
     tasks = [
         (kind, n, m)
         for kind in (FIRST, SECOND, UNSIGNED)
@@ -301,6 +351,33 @@ def test_concurrent_point_queries_match_sequential():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda t: (t, calc.value(*t)), shuffled))
     assert dict(results) == {t: expected[t] for t in shuffled}
+
+
+def test_concurrent_walks_and_row_growth_match_sequential():
+    # walks read the last memoized row while other threads append rows
+    reference = StirlingCalculator()
+    reference.triangle(FIRST, 120)
+    reference.triangle(SECOND, 120)
+    tasks = [(kind, n, m) for kind in (FIRST, SECOND, UNSIGNED)
+             for n in range(8, 121, 8) for m in (1, n // 3, n - 1)]
+    expected = {t: reference.value(*t) for t in tasks}
+    calc = StirlingCalculator()
+
+    def query_or_grow(i):
+        kind, n, m = tasks[i]
+        if i % 3 == 0:
+            calc.row(SECOND if kind is SECOND else FIRST, n)
+        return tasks[i], calc.value(kind, n, m)
+
+    order = random.Random(9).sample(range(len(tasks)), len(tasks))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = dict(pool.map(query_or_grow, order, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
 
 
 def test_concurrent_bulk_builds_are_consistent():

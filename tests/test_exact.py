@@ -125,6 +125,20 @@ def test_exactness_guards():
         check_limit(-1, "oracle budget")
 
 
+class Ratio(Fraction):
+    """A Fraction subclass; converted to a plain Fraction, not passed through."""
+
+
+def test_check_rational_hands_back_a_fraction_itself():
+    half = Fraction(1, 2)
+    assert check_rational(half) is half
+    converted = check_rational(Ratio(1, 2))
+    assert type(converted) is Fraction and converted == half
+    for inexact in (0.5, 2.0):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            check_rational(inexact)
+
+
 def test_int_codec():
     assert format_int(-5) == "-5"
     assert format_int(0) == "0"
