@@ -21,8 +21,11 @@ every row of the products s·S and S·s comes from one function,
 ``_product_row``. A point query, :meth:`StirlingCalculator.value`, reads row
 n if the memo holds it; otherwise it walks up from the memo's last row
 through only the columns that reach (n, m), storing nothing, so it runs in
-O((n - h) min(m, n - m)) steps and one band of memory. The walk and the row
-fill take the same step, ``_next_row``.
+O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
+the memo last grew have cost as many steps as the missing rows, the query
+fills them instead: one query stays a walk, and many on one calculator cost
+at most about twice the rows they read. The walk and the row fill take the
+same step, ``_next_row``.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -147,12 +150,15 @@ class StirlingCalculator:
             StirlingKind.FIRST_SIGNED: [(1,)],
             StirlingKind.SECOND: [(1,)],
         }
+        # per stored kind: band steps walked since its memo last grew
+        self._walked = dict.fromkeys(self._rows, 0)
         self._lock = threading.Lock()
 
     def value(self, kind: StirlingKind, n: int, m: int) -> int:
         """Stirling number of the given kind at (n, m); zero outside the
         triangle. Read from row n if the memo holds it, else walked to from
-        the memo's last row without storing one."""
+        the memo's last row without storing one; once such walks have cost
+        as much as the missing rows would, those rows are stored instead."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if m > n:
@@ -164,12 +170,20 @@ class StirlingCalculator:
 
     def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
         # entry (n, m), m <= n, of a stored kind: from the memo, or walked to
-        # from its last row h. No lock: rows only ever get appended, so row h
-        # stays row h while other threads grow the memo.
+        # from its last row h until the walks since the memo last grew would
+        # take more steps than rows h+1..n hold, and then grown. The walk takes
+        # no lock: rows only get appended, so row h stays row h while other
+        # threads grow the memo, and a lost update of the count only delays
+        # growth.
         rows = self._rows[kind]
         h = len(rows) - 1
         if n <= h:
             return rows[n][m]
+        walked = self._walked[kind] + (n - h) * (min(m, n - m) + 1)
+        if walked > (n - h) * (n + h + 3) // 2:
+            self._grow(rows, kind, n)
+            return rows[n][m]
+        self._walked[kind] = walked
         return _walk(kind, rows[h], h, n, m)
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
@@ -185,10 +199,15 @@ class StirlingCalculator:
         if rows is None:
             raise ValueError(f"rows are stored for first and second, not {kind.value}")
         if len(rows) <= n:
-            with self._lock:
-                while len(rows) <= n:
-                    rows.append(_next_row(kind, rows[-1], len(rows) - 1))
+            self._grow(rows, kind, n)
         return rows[n]
+
+    def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
+        # append rows of a stored kind to its memo rows up to row n
+        with self._lock:
+            while len(rows) <= n:
+                rows.append(_next_row(kind, rows[-1], len(rows) - 1))
+            self._walked[kind] = 0
 
     def triangle(self, kind: StirlingKind, max_row: int) -> Triangle:
         """Snapshot rows 0..max_row of one kind."""

@@ -1,12 +1,13 @@
-"""Smoke tests: every script in demos/ runs to completion against src/ and
-prints the same stdout on every run, and the README's library quick tour
-gives the values its comments state."""
+"""Smoke tests: every script in demos/ runs to completion against src/, the
+oracle cross-check prints the same stdout on every run, and the README's
+library quick tour gives the values its comments state."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -14,22 +15,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@lru_cache(maxsize=None)
+def run_demo(script):
+    return subprocess.run(
+        [sys.executable, str(script)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
 )
 def test_demo_exits_zero(script):
-    # twice, with the same stdout: timings go to stderr, so stdout compares
-    # byte for byte across runs and trees
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = [
-        subprocess.run(
-            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
-        )
-        for _ in range(2)
-    ]
-    for done in runs:
-        assert done.returncode == 0, done.stderr
-    assert runs[0].stdout == runs[1].stdout
+    done = run_demo(script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_oracle_crosscheck_prints_the_same_stdout_twice():
+    # its sweep time goes to stderr, so stdout compares byte for byte across
+    # runs and trees; one run more than the smoke test's
+    script = ROOT / "demos" / "oracle_crosscheck.py"
+    again = run_demo.__wrapped__(script)
+    assert again.returncode == 0, again.stderr
+    assert run_demo(script).stdout == again.stdout
 
 
 NOT_STATED = object()

@@ -15,6 +15,7 @@ from stirling.engine import (
     StirlingKind,
     Triangle,
     _pascal,
+    _walk,
     build_triangle,
     first_from_second,
     second_from_first,
@@ -71,29 +72,41 @@ def test_second_kind_rows_match_the_explicit_sum():
         ]
 
 
-def test_walks_past_the_memo_match_whole_rows_and_store_nothing():
-    # value() reads row n if the memo holds it (horizon h >= n) and otherwise
-    # walks the band of columns that reaches (n, m) up from row h; either way
-    # it must give the entry of the whole row and leave the memo as it was
+def test_walks_past_the_memo_match_whole_rows():
+    # the walk keeps of each row from horizon h up only the band of columns
+    # that reaches (n, m); it must end on the entry of the whole row n
     rng = random.Random(8)
-    first_rows = falling_factorial_rows(302)
+    first_rows = falling_factorial_rows(300)
     whole = StirlingCalculator()
     for n in (300, 1, *rng.sample(range(2, 300), 4)):
-        columns = {0, 1, n // 2, n - 1, n, n + 1, rng.randint(0, n)}
-        for h in (0, rng.randrange(n), n + rng.randrange(3)):
-            calc = StirlingCalculator()
-            for stored in (FIRST, SECOND):
-                calc.row(stored, h)
-            for m in sorted(columns):
-                first, second = calc.value(FIRST, n, m), calc.value(SECOND, n, m)
-                assert calc.value(UNSIGNED, n, m) == abs(first), (n, m, h)
-                if m > n:
-                    assert first == second == 0
-                    continue
+        for h in (0, rng.randrange(n), n - 1):
+            for m in sorted({0, 1, n // 2, n - 1, n, rng.randint(0, n)}):
+                first = _walk(FIRST, whole.row(FIRST, h), h, n, m)
+                second = _walk(SECOND, whole.row(SECOND, h), h, n, m)
                 assert first == first_rows[n][m] == whole.row(FIRST, n)[m], (n, m, h)
                 assert second == whole.row(SECOND, n)[m], (n, m, h)
                 assert factorial(m) * second == factorial_times_second(n, m), (n, m, h)
-            assert [len(calc._rows[stored]) for stored in (FIRST, SECOND)] == [h + 1, h + 1]
+
+
+def test_a_point_query_walks_and_repeated_ones_grow_the_memo():
+    whole = StirlingCalculator()
+    # a few queries past the memo store nothing, from any horizon, for all kinds
+    for h in (0, 97, 299, 300):
+        calc = StirlingCalculator()
+        for stored in (FIRST, SECOND):
+            calc.row(stored, h)
+        for kind, m in ((FIRST, 100), (UNSIGNED, 299), (SECOND, 7)):
+            expected = whole.row(SECOND if kind is SECOND else FIRST, 300)[m]
+            assert calc.value(kind, 300, m) == (abs(expected) if kind is UNSIGNED else expected)
+            assert calc.value(kind, 300, 301) == 0
+        assert [len(calc._rows[stored]) for stored in (FIRST, SECOND)] == [h + 1, h + 1]
+    # reading a row entry by entry stores it before half of it is read, so
+    # repeated queries on one calculator do not each walk from row 0
+    calc = StirlingCalculator()
+    for m in range(151):
+        assert calc.value(SECOND, 300, m) == whole.row(SECOND, 300)[m]
+    assert [len(calc._rows[stored]) for stored in (FIRST, SECOND)] == [1, 301]
+    assert [calc.value(SECOND, 300, m) for m in range(301)] == list(whole.row(SECOND, 300))
 
 
 def test_perturbed_offset_shows_through_a_walk_and_a_memo_read():
