@@ -17,10 +17,10 @@ Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
 come from :meth:`StirlingCalculator.row`, which fills the memo: triangles and
 conversions read them there, the sweeps fetch each row they need once, and
-every row of the products s·S and S·s comes from one function,
-``_product_row``. A point query, :meth:`StirlingCalculator.value`, reads row
-n if the memo holds it; otherwise it walks up from the memo's last row
-through only the columns that reach (n, m), storing nothing, so it runs in
+every row of the products s·S and S·s comes from one function, ``_product``.
+A point query, :meth:`StirlingCalculator.value`, reads row n if the memo
+holds it; otherwise it walks up from the memo's last row through only the
+columns that reach (n, m), storing nothing, so it runs in
 O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
 the memo last grew have cost as many steps as the missing rows, the query
 fills them instead: one query stays a walk, and many on one calculator cost
@@ -86,17 +86,14 @@ class Triangle:
         return len(self.rows) - 1
 
     def row(self, n: int) -> tuple:
-        return self.rows[check_limit(n, "n")]
+        if check_limit(n, "n") >= len(self.rows):
+            raise ValueError(f"row {n} is not stored (max_row={self.max_row})")
+        return self.rows[n]
 
     def value(self, n: int, m: int) -> int:
         """Entry (n, m); zero outside the triangle. n must be a stored row."""
-        if check_int(n, "n") < 0 or check_int(m, "m") < 0:
-            raise ValueError(f"indices must be non-negative, got n={n}, m={m}")
-        if n >= len(self.rows):
-            raise ValueError(f"row {n} is not stored (max_row={self.max_row})")
-        if m > n:
-            return 0
-        return self.rows[n][m]
+        row = self.row(n)
+        return row[m] if check_limit(m, "m") <= n else 0
 
     def __repr__(self):
         return f"Triangle({self.kind.value!r}, rows=0..{self.max_row})"
@@ -192,13 +189,13 @@ class StirlingCalculator:
 
         The read path of everything but :meth:`value`: triangles,
         conversions, sweeps and polynomial builders read entries out of
-        these rows. No cap check: internal callers may legitimately reach
-        derived indices past the public cap.
+        these rows. n must be a non-negative int, but no cap applies: the
+        eq1/eq2 sweeps up to N read rows up to 2N - 2.
         """
         rows = self._rows.get(kind)
         if rows is None:
             raise ValueError(f"rows are stored for first and second, not {kind.value}")
-        if len(rows) <= n:
+        if len(rows) <= check_limit(n, "n"):
             self._grow(rows, kind, n)
         return rows[n]
 
@@ -314,10 +311,13 @@ def _columns(rows, width: int) -> list:
     return [column[k:] for k, column in enumerate(padded)]
 
 
-def _product_row(row, columns) -> list:
-    # row m of outer·inner from outer row m and the inner columns of _columns:
-    # entry k = sum_{l=k}^{m} outer(m, l) inner(l, k), k = 0..m (zero past m)
-    return [sum(map(mul, row[k:], columns[k])) for k in range(len(row))]
+def _product(calc: StirlingCalculator, outer: StirlingKind, inner: StirlingKind,
+             top: int, first: int = 0) -> list:
+    # rows first..top of outer·inner, from the columns of inner rows 0..top: entry
+    # (m, k) = sum_{l=k}^{m} outer(m, l) inner(l, k), k = 0..m (zero past m)
+    columns = _columns(_read_rows(calc, inner, top), top + 1)
+    rows = (calc.row(outer, m) for m in range(first, top + 1))
+    return [[sum(map(mul, row[k:], columns[k])) for k in range(len(row))] for row in rows]
 
 
 def _read_rows(calc: StirlingCalculator, kind: StirlingKind, top: int) -> list:

@@ -58,7 +58,7 @@ def check_rational(value) -> Fraction:
 
 
 def check_limit(value: int, name: str) -> int:
-    """Validate a non-negative, uncapped int (a cap, a budget, a power); return it."""
+    """Validate a non-negative, uncapped int (a cap, a budget, a power, a row); return it."""
     if check_int(value, name) < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
@@ -66,9 +66,7 @@ def check_limit(value: int, name: str) -> int:
 
 def check_index(value: int, cap: int = DEFAULT_INDEX_CAP, name: str = "index") -> int:
     """Validate one non-negative, capped index argument and return it."""
-    if check_int(value, name) < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    if value > cap:
+    if check_limit(value, name) > cap:
         raise IndexLimitError(name, value, cap)
     return value
 

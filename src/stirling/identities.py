@@ -32,7 +32,7 @@ Each first-kind/second-kind pair is one function parametrized by which kind
 sits outside and which inside, behind the public ``*_first``/``*_second``
 names. A sweep reads each row once and builds what its sums share once: inner
 row sums or columns, eq1/eq2's Pascal table and source diagonals, or the rows
-of s·S or S·s from ``engine._product_row``, which the polynomial builders use
+of s·S or S·s from ``engine._product``, which the polynomial builders use
 too. Each inner sum is then one dot product of plain ints.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem, mul
 
-from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product_row
+from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
 from .engine import _SHARED, _from_token, _read_rows
 from .exact import check_index, dump_json, format_rational
 
@@ -240,9 +240,7 @@ def _sweep_conversion(target, source):
 def _sweep_orthogonality(outer, inner):
     # entry (k, j) of outer·inner, j-major, k >= j: past the diagonal both sides are 0
     def sweep(max_index, calc):
-        columns = _columns(_read_rows(calc, inner, max_index), max_index + 1)
-        rows = _read_rows(calc, outer, max_index)
-        product = [_product_row(row, columns) for row in rows]
+        product = _product(calc, outer, inner, max_index)
         for j in range(max_index + 1):
             for k, row in enumerate(product[j:], j):
                 expected = 1 if j == k else 0
@@ -270,9 +268,7 @@ def _sweep_poly(name, outer, inner, residual):
     # coefficients 1..index of row index of outer·inner against x^index, or
     # (residual) 1..index-1 against zero; recorded as Fractions, as Poly has them
     def sweep(max_index, calc):
-        columns = _columns(_read_rows(calc, inner, max_index), max_index + 1)
-        for index in range(1, max_index + 1):
-            built = _product_row(calc.row(outer, index), columns)
+        for index, built in enumerate(_product(calc, outer, inner, max_index, 1), 1):
             want = [0] * index + [1]
             for k in range(1, index if residual else index + 1):
                 if built[k] != want[k]:

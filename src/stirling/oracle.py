@@ -34,12 +34,10 @@ class BudgetExceededError(ResourceLimitError):
 
 def _check_args(n: int, m: int, budget: int):
     check_int(n, "n")
-    check_int(m, "m")
+    check_limit(m, "m")
     check_limit(budget, "oracle budget")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
     if n > budget:
         raise BudgetExceededError(n, budget)
 

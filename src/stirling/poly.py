@@ -7,7 +7,7 @@ the same double sum with the degree-m diagonal term split off, after which
 everything cancels: the result must be the zero polynomial. The ``*_second``
 variants swap the roles of the two kinds. All four read one row of the
 matrix product outer·inner: coefficient k of the double sum is the product's
-entry (m, k) for k >= 1, and ``engine._product_row`` computes that row.
+entry (m, k) for k >= 1, and ``engine._product`` computes that row.
 
 Coefficients are stored as ``Fraction`` even though the constructions above
 only ever produce integers: evaluation at arbitrary rational points then
@@ -17,7 +17,7 @@ compare the same product rows as integers, before any such conversion.
 
 from fractions import Fraction
 
-from .engine import _SHARED, StirlingKind, _columns, _product_row, _read_rows
+from .engine import _SHARED, StirlingKind, _product
 from .exact import check_index, check_limit, check_rational, format_rational, parse_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -176,5 +176,4 @@ def _build(m: int, calc, name: str, outer, inner) -> list:
         raise ValueError(f"{name} must be at least 1, got {m}")
     # coefficient 0 is zero whatever column 0 holds; the only degree-m term is
     # the diagonal's k = m one, so the residuals are the first m coefficients
-    columns = _columns(_read_rows(calc, inner, m), m + 1)
-    return [0, *_product_row(calc.row(outer, m), columns)[1:]]
+    return [0, *_product(calc, outer, inner, m, m)[0][1:]]

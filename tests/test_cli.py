@@ -3,6 +3,7 @@ round-tripping. Everything runs in-process through cli.run()."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from math import factorial
@@ -28,6 +29,7 @@ except ImportError:  # not on Windows
     resource = None
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -144,6 +146,21 @@ def test_verify_table_lists_every_identity(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["id", "status", "range", "counterexamples", "elapsed"]
     assert "14 identities checked, all passed" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("label, fault, code", [
+    ("healthy", [], EXIT_OK),
+    ("second-6-3-1", ["--inject-fault", "second:6:3:1"], EXIT_VIOLATION),
+    ("first-0-0-2", ["--inject-fault", "first:0:0:2"], EXIT_VIOLATION),
+])
+def test_verify_all_matches_the_golden_bytes(capsys, fmt, label, fault, code):
+    # tests/golden holds this stdout with the timings masked; see CHANGES.md
+    argv = ["verify", "--identity", "all", "--max", "12", "--format", fmt, *fault]
+    assert run(argv) == code
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": N', capsys.readouterr().out)
+    out = re.sub(r"\d+ ms$", "N ms", out, flags=re.M)
+    assert out == (GOLDEN / f"verify_all_12_{label}.{fmt}").read_text()
 
 
 def test_verify_unknown_identity_exits_2(capsys):

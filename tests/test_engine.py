@@ -279,10 +279,24 @@ def test_index_cap_enforced():
         calc.value(SECOND, -1, 0)
 
 
+@pytest.mark.parametrize("make", [
+    StirlingCalculator, lambda: PerturbedCalculator(SECOND, 3, 1),
+], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+def test_row_index_is_a_non_negative_int(make, kind):
+    calc = make()
+    calc.row(kind, 4)  # memoized rows that a negative index would wrap around to
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        calc.row(kind, -1)
+    for inexact in (True, 2.0):
+        with pytest.raises(TypeError, match="n must be an int"):
+            calc.row(kind, inexact)
+
+
 def test_conversions_reach_rows_beyond_requested_n():
-    # the alternating sums read second-kind entries up to row 2(n - m);
-    # the cache must grow there transparently
-    calc = StirlingCalculator()
+    # the alternating sums read second-kind entries up to row 2(n - m), past
+    # the index cap; the cache must grow there transparently
+    calc = StirlingCalculator(index_cap=40)
     assert calc.first_from_second(40, 1) == calc.value(FIRST, 40, 1)
     assert len(calc._rows[SECOND]) >= 79
 
@@ -293,8 +307,11 @@ def test_triangle_snapshot_accessors():
     assert tri.row(2) == (0, 1, 1)
     assert tri.value(4, 2) == 7
     assert tri.value(2, 4) == 0
-    with pytest.raises(ValueError):
+    not_stored = r"row 5 is not stored \(max_row=4\)"
+    with pytest.raises(ValueError, match=not_stored):
         tri.value(5, 1)
+    with pytest.raises(ValueError, match=not_stored):
+        tri.row(tri.max_row + 1)
     with pytest.raises(ValueError):
         tri.value(-1, 0)
     for n, m in [(True, 0), (1.5, 3), (4, 5.0)]:

@@ -370,6 +370,10 @@ def naive_counterexamples(identity, top, calc):
         (FIRST, 6, 3, 1, 12),
         (SECOND, 5, 2, 3, 12),
         (SECOND, 9, 0, 1, 12),
+        # the origin: product row 0, which eq3/eq4 check and eq11-15 skip
+        (FIRST, 0, 0, 2, 12),
+        (SECOND, 0, 0, -1, 12),
+        (SECOND, 12, 11, 1, 12),  # the product's last row
         # long diagonals, away from the origin: the Pascal-table conversion
         # sums and the column dot products at their far ends
         (SECOND, 20, 6, 1, 24),
