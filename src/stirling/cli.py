@@ -8,6 +8,9 @@ Exit codes are part of the contract and stable across versions:
     2   usage error (bad arguments, unknown identity or kind)
     3   resource limit (index cap or enumeration budget exceeded, or out of memory)
 
+A reader that closes the pipe early (``stirling ... | head``) ends the
+``stirling`` command by SIGPIPE, silently; :func:`run` leaves signals alone.
+
 All numeric output is exact decimal; the machine formats (csv, json)
 re-serialize byte for byte.
 """
@@ -56,11 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--kind", required=True, choices=_KIND_TOKENS)
     tri.add_argument("--rows", type=int, required=True, metavar="N")
     tri.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    tri.set_defaults(handler=_cmd_triangle)
 
     val = sub.add_parser("value", help="print one triangle entry")
     val.add_argument("--kind", required=True, choices=_KIND_TOKENS)
     val.add_argument("n", type=int)
     val.add_argument("m", type=int)
+    val.set_defaults(handler=_cmd_value)
 
     ver = sub.add_parser("verify", help="sweep one identity or the whole catalog")
     ver.add_argument("--identity", required=True, choices=_IDENTITY_TOKENS)
@@ -74,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test hook: offset one stored entry before sweeping, "
         "e.g. second:5:2:1; a healthy install must then exit 1",
     )
+    ver.set_defaults(handler=_cmd_verify)
 
     orc = sub.add_parser(
         "oracle-check",
@@ -89,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"enumeration budget (env {ENV_ORACLE_BUDGET}, "
         f"default {DEFAULT_ENUMERATION_BUDGET})",
     )
+    orc.set_defaults(handler=_cmd_oracle_check)
 
     conv = sub.add_parser("convert", help="rebuild one kind from the other at (n, m)")
     conv.add_argument("--direction", required=True,
@@ -96,26 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--format", choices=("table", "json"), default="table")
     conv.add_argument("n", type=int)
     conv.add_argument("m", type=int)
+    conv.set_defaults(handler=_cmd_convert)
 
     return parser
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer")
-
-
-def _limit(flag, env_name: str, default: int, what: str) -> int:
-    # the flag wins over the environment, the environment over the default;
-    # validated before the command computes anything
-    value = flag if flag is not None else _env_int(env_name)
+def _limit(value, env_name: str, default: int, what: str) -> int:
+    # the flag's value wins over the environment, the environment over the
+    # default; validated before the command computes anything
     if value is None:
-        value = default
+        raw = os.environ.get(env_name)
+        try:
+            value = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"environment variable {env_name}={raw!r} is not an integer")
     return check_limit(value, what)
 
 
@@ -132,8 +133,7 @@ def _render_table(rows, align_right=True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_triangle(args, index_cap) -> int:
-    calc = StirlingCalculator(index_cap=index_cap)
+def _cmd_triangle(args, calc) -> int:
     triangle = calc.triangle(StirlingKind.from_token(args.kind), args.rows)
     if args.format == "csv":
         sys.stdout.write(triangle.to_csv())
@@ -144,8 +144,7 @@ def _cmd_triangle(args, index_cap) -> int:
     return EXIT_OK
 
 
-def _cmd_value(args, index_cap) -> int:
-    calc = StirlingCalculator(index_cap=index_cap)
+def _cmd_value(args, calc) -> int:
     print(calc.value(StirlingKind.from_token(args.kind), args.n, args.m))
     return EXIT_OK
 
@@ -198,12 +197,9 @@ def _print_counterexamples(report):
         print(f"  {where}: lhs={data['lhs']} rhs={data['rhs']}")
 
 
-def _cmd_verify(args, index_cap) -> int:
+def _cmd_verify(args, calc) -> int:
     if args.inject_fault is not None:
-        calc = _parse_fault(args.inject_fault, index_cap)
-    else:
-        calc = StirlingCalculator(index_cap=index_cap)
-
+        calc = _parse_fault(args.inject_fault, calc.index_cap)
     if args.identity == "all":
         reports = run_all(args.max_index, calc)
     else:
@@ -230,7 +226,7 @@ def _cmd_verify(args, index_cap) -> int:
     return EXIT_OK if all_passed else EXIT_VIOLATION
 
 
-def _cmd_oracle_check(args, index_cap) -> int:
+def _cmd_oracle_check(args, calc) -> int:
     budget = _limit(args.budget, ENV_ORACLE_BUDGET, DEFAULT_ENUMERATION_BUDGET,
                     "oracle budget")
     if args.max_n < 1:
@@ -239,7 +235,6 @@ def _cmd_oracle_check(args, index_cap) -> int:
         raise BudgetExceededError(args.max_n, budget)
 
     # every entry of both triangles to --max: one snapshot each, not one walk per entry
-    calc = StirlingCalculator(index_cap=index_cap)
     unsigned = calc.triangle(StirlingKind.FIRST_UNSIGNED, args.max_n)
     second = calc.triangle(StirlingKind.SECOND, args.max_n)
     cases = 0
@@ -265,14 +260,13 @@ def _cmd_oracle_check(args, index_cap) -> int:
     return EXIT_VIOLATION
 
 
-def _cmd_convert(args, index_cap) -> int:
-    calc = StirlingCalculator(index_cap=index_cap)
+def _cmd_convert(args, calc) -> int:
     if args.direction == "s1-from-s2":
-        converted = calc.first_from_second(args.n, args.m)
-        direct = calc.value(StirlingKind.FIRST_SIGNED, args.n, args.m)
+        convert, kind = calc.first_from_second, StirlingKind.FIRST_SIGNED
     else:
-        converted = calc.second_from_first(args.n, args.m)
-        direct = calc.value(StirlingKind.SECOND, args.n, args.m)
+        convert, kind = calc.second_from_first, StirlingKind.SECOND
+    converted = convert(args.n, args.m)
+    direct = calc.value(kind, args.n, args.m)
     agree = converted == direct
 
     if args.format == "json":
@@ -295,15 +289,6 @@ def _cmd_convert(args, index_cap) -> int:
     return EXIT_OK if agree else EXIT_VIOLATION
 
 
-_HANDLERS = {
-    "triangle": _cmd_triangle,
-    "value": _cmd_value,
-    "verify": _cmd_verify,
-    "oracle-check": _cmd_oracle_check,
-    "convert": _cmd_convert,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -313,7 +298,7 @@ def run(argv=None) -> int:
 
     try:
         index_cap = _limit(args.index_cap, ENV_INDEX_CAP, DEFAULT_INDEX_CAP, "index cap")
-        return _HANDLERS[args.command](args, index_cap)
+        return args.handler(args, StirlingCalculator(index_cap=index_cap))
     except ResourceLimitError as exc:
         print(f"stirling: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -326,6 +311,10 @@ def run(argv=None) -> int:
 
 
 def main():
+    import signal  # only the command needs it: callers of run() skip the import
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -63,6 +63,15 @@ class StirlingKind(enum.Enum):
         return _from_token(cls, token, "triangle kind")
 
 
+def _stored(kind: StirlingKind) -> StirlingKind:
+    # kind as a key of the memo: the rule every read of stored rows goes by
+    if not isinstance(kind, StirlingKind):
+        raise TypeError(f"kind must be a StirlingKind, got {kind!r}")
+    if kind is StirlingKind.FIRST_UNSIGNED:
+        raise ValueError("rows are stored for first and second, not first-unsigned")
+    return kind
+
+
 @dataclass(frozen=True, repr=False, slots=True)
 class Triangle:
     """Immutable snapshot of rows 0..max_row of one triangle kind; int entries."""
@@ -71,6 +80,8 @@ class Triangle:
     rows: tuple
 
     def __post_init__(self):
+        if not isinstance(self.kind, StirlingKind):
+            raise TypeError(f"kind must be a StirlingKind, got {self.kind!r}")
         # one pass: a second one over the unsigned view's fresh entries misses the cache
         rows = []
         for n, row in enumerate(map(tuple, self.rows)):
@@ -158,21 +169,23 @@ class StirlingCalculator:
         as much as the missing rows would, those rows are stored instead."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
-        if m > n:
-            return 0
         if kind is not StirlingKind.FIRST_UNSIGNED:
             return self._entry(kind, n, m)
         signed = self._entry(StirlingKind.FIRST_SIGNED, n, m)
         return -signed if (n - m) % 2 else signed
 
     def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
-        # entry (n, m), m <= n, of a stored kind: from the memo, or walked to
-        # from its last row h until the walks since the memo last grew would
-        # take more steps than rows h+1..n hold, and then grown. The walk takes
-        # no lock: rows only get appended, so row h stays row h while other
-        # threads grow the memo, and a lost update of the count only delays
-        # growth.
-        rows = self._rows[kind]
+        # entry (n, m) of a stored kind, zero when m > n: from the memo, or
+        # walked to from its last row h until the walks since the memo last
+        # grew would take more steps than rows h+1..n hold, and then grown. The
+        # walk takes no lock: rows only get appended, so row h stays row h while
+        # other threads grow the memo, and a lost update of the count only
+        # delays growth.
+        rows = self._rows.get(kind)
+        if rows is None:
+            _stored(kind)  # raises: the memo holds every stored kind
+        if m > n:
+            return 0
         h = len(rows) - 1
         if n <= h:
             return rows[n][m]
@@ -194,7 +207,7 @@ class StirlingCalculator:
         """
         rows = self._rows.get(kind)
         if rows is None:
-            raise ValueError(f"rows are stored for first and second, not {kind.value}")
+            _stored(kind)  # raises: the memo holds every stored kind
         if len(rows) <= check_limit(n, "n"):
             self._grow(rows, kind, n)
         return rows[n]
@@ -262,15 +275,13 @@ class PerturbedCalculator(StirlingCalculator):
     def __init__(self, kind: StirlingKind, n: int, m: int, delta: int = 1,
                  index_cap: int = DEFAULT_INDEX_CAP):
         super().__init__(index_cap=index_cap)
-        if kind is StirlingKind.FIRST_UNSIGNED:
-            raise ValueError("perturb a stored kind: first or second")
         check_index(n, index_cap, "n")
         check_index(m, index_cap, "m")
         if m > n:
             raise ValueError(f"(n={n}, m={m}) lies outside the triangle")
         if check_int(delta, "delta") == 0:
             raise ValueError("delta must be nonzero")
-        self.target = (kind, n, m)
+        self.target = (_stored(kind), n, m)
         self.delta = delta
 
     def _entry(self, kind: StirlingKind, n: int, m: int) -> int:

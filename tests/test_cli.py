@@ -4,6 +4,7 @@ round-tripping. Everything runs in-process through cli.run()."""
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from math import factorial
@@ -30,12 +31,21 @@ except ImportError:  # not on Windows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# argv, exit code, stdout and stderr of triangle, value, convert, oracle-check
+# and bad --inject-fault specs; see CHANGES.md for how it was written
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(ENV_INDEX_CAP, raising=False)
     monkeypatch.delenv(ENV_ORACLE_BUDGET, raising=False)
+
+
+def _masked(text):
+    # the golden files' form of the output: verify's timings replaced by N
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": N', text)
+    return re.sub(r"\d+ ms$", "N ms", text, flags=re.M)
 
 
 def test_triangle_csv_example(capsys):
@@ -158,9 +168,15 @@ def test_verify_all_matches_the_golden_bytes(capsys, fmt, label, fault, code):
     # tests/golden holds this stdout with the timings masked; see CHANGES.md
     argv = ["verify", "--identity", "all", "--max", "12", "--format", fmt, *fault]
     assert run(argv) == code
-    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": N', capsys.readouterr().out)
-    out = re.sub(r"\d+ ms$", "N ms", out, flags=re.M)
-    assert out == (GOLDEN / f"verify_all_12_{label}.{fmt}").read_text()
+    golden = GOLDEN / f"verify_all_12_{label}.{fmt}"
+    assert _masked(capsys.readouterr().out) == golden.read_text()
+
+
+@pytest.mark.parametrize("case", COMMANDS, ids=[" ".join(case["argv"]) for case in COMMANDS])
+def test_commands_match_the_golden_bytes(capsys, case):
+    code = run(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, _masked(out), _masked(err)) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_verify_unknown_identity_exits_2(capsys):
@@ -249,6 +265,24 @@ def test_index_cap_env_and_flag(monkeypatch, capsys):
     assert "STIRLING_INDEX_CAP" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "--kind", "first", "6", "2"],
+    ["convert", "--direction", "s1-from-s2", "6", "2"],
+    ["verify", "--identity", "eq5", "--max", "6"],
+    ["verify", "--identity", "eq5", "--max", "4", "--inject-fault", "second:6:2"],
+    ["oracle-check", "--max", "5"],
+], ids=["value", "convert", "verify", "verify-fault", "oracle-check"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_index_cap_reaches_every_command(monkeypatch, capsys, argv, source):
+    # one calculator per run carries the cap, into the fault calculator too
+    if source == "env":
+        monkeypatch.setenv(ENV_INDEX_CAP, "4")
+    else:
+        argv = ["--index-cap", "4", *argv]
+    assert run(argv) == EXIT_LIMIT
+    assert "exceeds the index cap of 4" in capsys.readouterr().err
+
+
 def test_negative_limits_are_usage_errors(capsys):
     assert run(["oracle-check", "--max", "3", "--budget", "-1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "stirling: oracle budget must be non-negative, got -1\n"
@@ -273,6 +307,24 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+def test_a_closed_reader_ends_the_command_by_sigpipe():
+    # ~3 MB of csv, more than any pipe buffer holds, so the writer is still
+    # writing when its reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirling.cli",
+         "triangle", "--kind", "second", "--rows", "200", "--format", "csv"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _limit_address_space():

@@ -41,7 +41,7 @@ def test_frozen_small_rows():
     assert build_triangle(FIRST, 5).rows[5] == (0, 24, -50, 35, -10, 1)
     assert build_triangle(UNSIGNED, 3).rows[3] == (0, 2, 3, 1)
     assert StirlingCalculator().row(SECOND, 4) == (0, 1, 7, 6, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stored for first and second, not first-unsigned"):
         StirlingCalculator().row(UNSIGNED, 3)
 
 
@@ -266,6 +266,24 @@ def test_kind_token_lookup():
     )
 
 
+@pytest.mark.parametrize("kind", ["second", None, 1])
+def test_kind_must_be_a_stirling_kind(kind):
+    # a mistyped kind never matches a stored row, so a PerturbedCalculator
+    # built with one would inject no fault and every sweep would pass
+    calc = StirlingCalculator()
+    calls = [
+        lambda: calc.row(kind, 5),
+        lambda: calc.value(kind, 5, 2),
+        lambda: calc.value(kind, 3, 5),
+        lambda: calc.triangle(kind, 3),
+        lambda: PerturbedCalculator(kind, 5, 2),
+        lambda: Triangle(kind, [(1,)]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"kind must be a StirlingKind, got {kind!r}"):
+            call()
+
+
 def test_index_cap_enforced():
     calc = StirlingCalculator(index_cap=50)
     assert calc.value(SECOND, 50, 10) > 0
@@ -449,7 +467,7 @@ def test_perturbed_calculator_offsets_exactly_one_entry():
 
 
 def test_perturbed_calculator_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stored for first and second, not first-unsigned"):
         PerturbedCalculator(UNSIGNED, 3, 1)
     with pytest.raises(ValueError):
         PerturbedCalculator(SECOND, 3, 4)
