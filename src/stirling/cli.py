@@ -11,11 +11,16 @@ Exit codes are part of the contract and stable across versions:
 A reader that closes the pipe early (``stirling ... | head``) ends the
 ``stirling`` command by SIGPIPE, silently; :func:`run` leaves signals alone.
 
+In-process callers of :func:`run` share one parser, built on the first
+call: importing this module builds none. :func:`build_parser` returns a
+fresh one.
+
 All numeric output is exact decimal; the machine formats (csv, json)
 re-serialize byte for byte.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -106,6 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(handler=_cmd_convert)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs more than parsing most requests, and
+    # parse_args keeps no state between calls: every call gets a new
+    # namespace, and the limits are read from it and the environment
+    return build_parser()
 
 
 def _limit(value, env_name: str, default: int, what: str) -> int:
@@ -290,9 +303,8 @@ def _cmd_convert(args, calc) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -1,6 +1,7 @@
 """CLI contract tests: output bytes, exit codes, env fallbacks, JSON
 round-tripping. Everything runs in-process through cli.run()."""
 
+import argparse
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from stirling.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     run,
 )
 from stirling.exact import dump_json
@@ -296,6 +298,72 @@ def test_oracle_budget_env_is_read_only_by_oracle_check(monkeypatch, capsys):
     assert "STIRLING_ORACLE_BUDGET" in capsys.readouterr().err
     assert run(["value", "--kind", "first", "1", "1"]) == EXIT_OK
     assert capsys.readouterr().out == "1\n"
+
+
+def test_run_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["value", "--kind", "second", "4", "2"]) == EXIT_OK
+    built.clear()
+    assert run(["convert", "--direction", "s1-from-s2", "5", "2"]) == EXIT_OK
+    assert built == []
+    # the count does see construction, and build_parser() still builds afresh
+    assert build_parser() is not build_parser()
+    assert built
+    assert capsys.readouterr().out == "7\nvalue: -50\nrecurrence: -50\nagree: yes\n"
+
+
+def test_no_state_carries_from_one_run_to_the_next(monkeypatch, capsys):
+    def outcome(argv):
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    value = ["value", "--kind", "first", "6", "2"]
+    assert outcome(["--index-cap", "4", *value]) == (EXIT_LIMIT, "")
+    assert outcome(value) == (EXIT_OK, "274\n")
+
+    verify = ["verify", "--identity", "eq5", "--max", "9"]
+    assert outcome([*verify, "--inject-fault", "second:5:2:1"])[0] == EXIT_VIOLATION
+    assert outcome(verify)[0] == EXIT_OK
+
+    convert = ["convert", "--direction", "s2-from-s1", "5", "3"]
+    code, out = outcome([*convert, "--format", "json"])
+    assert (code, json.loads(out)["value"]) == (EXIT_OK, "25")
+    assert outcome(convert) == (EXIT_OK, "value: 25\nrecurrence: 25\nagree: yes\n")
+
+    monkeypatch.setenv(ENV_INDEX_CAP, "2")
+    assert outcome(["value", "--kind", "second", "4", "2"]) == (EXIT_LIMIT, "")
+    monkeypatch.delenv(ENV_INDEX_CAP)
+    assert outcome(["value", "--kind", "second", "4", "2"]) == (EXIT_OK, "7\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--kind", "third", "5", "1"],
+    ["value", "5", "1"],
+    ["value", "--kind", "first", "x", "1"],
+    [],
+    ["--help"],
+    ["value", "--help"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_errors_and_help_match_a_fresh_parser(monkeypatch, capsys, argv):
+    # against a fresh parser rather than fixed text: argparse's wording
+    # differs between Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    expected = (exited.value.code, *capsys.readouterr())
+    assert expected[0] in (EXIT_OK, EXIT_USAGE)
+
+    assert (run(argv), *capsys.readouterr()) == expected
+    assert run(["value", "--kind", "second", "4", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert (run(argv), *capsys.readouterr()) == expected
 
 
 def test_console_entry_point_runs():
