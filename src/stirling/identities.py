@@ -95,21 +95,17 @@ class IdentityReport:
 
     id: IdentityId
     range: str
-    status: str
     counterexamples: tuple
     elapsed_ms: int
 
-    def __post_init__(self):
-        consistent = (self.status == "pass") == (not self.counterexamples)
-        if self.status not in ("pass", "fail") or not consistent:
-            raise ValueError(
-                "status must be 'pass' with no counterexamples "
-                "or 'fail' with at least one"
-            )
+    @property
+    def status(self) -> str:
+        """The verdict: "fail" when the sweep found a counterexample, else "pass"."""
+        return "fail" if self.counterexamples else "pass"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.counterexamples
 
     def to_json_data(self) -> dict:
         return {
@@ -328,7 +324,6 @@ def run_identity(identity: IdentityId, max_index: int, calc=None) -> IdentityRep
     return IdentityReport(
         id=identity,
         range=describe_range(max_index),
-        status="pass" if not found else "fail",
         counterexamples=found,
         elapsed_ms=elapsed_ms,
     )

@@ -1,4 +1,4 @@
-"""Dense exact-coefficient polynomials and the triangle-driven constructions.
+"""The exact polynomial value type and the triangle-driven constructions.
 
 ``basis_poly_first(m)`` threads the monomial x^m through both triangles,
 first kind outside, second kind inside; the construction must come back out
@@ -9,16 +9,18 @@ variants swap the roles of the two kinds. All four read one row of the
 matrix product outer·inner: coefficient k of the double sum is the product's
 entry (m, k) for k >= 1, and ``engine._product`` computes that row.
 
-Coefficients are stored as ``Fraction`` even though the constructions above
-only ever produce integers: evaluation at arbitrary rational points then
-stays closed without a type change. Floats are rejected outright. The sweeps
-compare the same product rows as integers, before any such conversion.
+``Poly`` is the value the constructions return: coefficients, equality,
+evaluation and JSON output, with no arithmetic. Coefficients are stored as
+``Fraction`` even though the constructions only ever produce integers: the
+public constructor takes any rational coefficient, and evaluation at a
+rational point is a ``Fraction`` either way. Floats are rejected outright.
+The sweeps compare the same product rows as integers, before any conversion.
 """
 
 from fractions import Fraction
 
 from .engine import _SHARED, StirlingKind, _product
-from .exact import check_index, check_limit, check_rational, format_rational, parse_rational
+from .exact import check_index, check_limit, check_rational, format_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
@@ -81,39 +83,6 @@ class Poly:
     def __bool__(self):
         return bool(self._coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self._coeffs or not other._coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        scalar = check_rational(other)
-        return Poly([c * scalar for c in self._coeffs])
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         if not self._coeffs:
             return "Poly()"
@@ -122,10 +91,6 @@ class Poly:
     def to_json_list(self) -> list:
         """Coefficients as "p/q" strings, lowest order first."""
         return [format_rational(c) for c in self._coeffs]
-
-    @classmethod
-    def from_json_list(cls, items) -> "Poly":
-        return cls(parse_rational(item) for item in items)
 
 
 def poly_eval(p: Poly, x) -> Fraction:

@@ -12,9 +12,7 @@ import pytest
 from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind
 from stirling.exact import IndexLimitError, dump_json
 from stirling.identities import (
-    Counterexample,
     IdentityId,
-    IdentityReport,
     check_deriv_relation_first,
     check_deriv_relation_second,
     check_orthogonality,
@@ -91,19 +89,33 @@ def test_deriv_relation_examples():
 
 
 @pytest.mark.parametrize(
-    "check",
+    "check, name, start",
     [
-        check_row_relation_first,
-        check_row_relation_second,
-        check_deriv_relation_second,
-        check_deriv_relation_first,
+        pytest.param(lambda j, calc=None: check_orthogonality(j, 0, calc), "j", 0,
+                     id="check_orthogonality-j"),
+        pytest.param(lambda k, calc=None: check_orthogonality(0, k, calc), "k", 0,
+                     id="check_orthogonality-k"),
+        (check_unit_sum_first, "m", 1),
+        (check_unit_sum_second, "m", 1),
+        (check_row_relation_first, "m", 2),
+        (check_row_relation_second, "j", 2),
+        (check_deriv_relation_second, "m", 2),
+        (check_deriv_relation_first, "j", 2),
+        pytest.param(lambda n, calc=None: run_identity(IdentityId.UNIT_SUM_5, n, calc),
+                     "max_index", 0, id="run_identity"),
     ],
 )
-def test_relations_reject_degenerate_orders(check):
-    with pytest.raises(ValueError):
-        check(1)
-    with pytest.raises(ValueError):
-        check(0)
+def test_relations_reject_degenerate_orders(check, name, start):
+    # every index argument: the type, sign and cap rules, then the relation's minimum
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got bool$"):
+        check(True)
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        check(-1)
+    with pytest.raises(IndexLimitError, match=f"^{name}=51 exceeds the index cap of 50$"):
+        check(51, StirlingCalculator(index_cap=50))
+    for value in range(start):
+        with pytest.raises(ValueError, match=f"^{name} must be at least {start}, got {value}$"):
+            check(value)
 
 
 def test_deriv_relation_agrees_with_residual_linear_coefficient():
@@ -252,14 +264,14 @@ def test_report_json_schema_and_round_trip():
     assert isinstance(ce["lhs"], str) and isinstance(ce["rhs"], str)
 
 
-def test_report_status_consistency_is_enforced():
-    with pytest.raises(ValueError):
-        IdentityReport(IdentityId.UNIT_SUM_5, "x", "pass",
-                       (Counterexample({"m": 1}, 0, 1),), 0)
-    with pytest.raises(ValueError):
-        IdentityReport(IdentityId.UNIT_SUM_5, "x", "fail", (), 0)
-    with pytest.raises(ValueError):
-        IdentityReport(IdentityId.UNIT_SUM_5, "x", "maybe", (), 0)
+def test_report_status_follows_its_counterexamples():
+    faulty = PerturbedCalculator(SECOND, 5, 2)
+    reports = run_all(12) + run_all(12, faulty)
+    assert any(r.counterexamples for r in reports)
+    for report in reports:
+        assert report.status == ("fail" if report.counterexamples else "pass")
+        assert report.passed is not bool(report.counterexamples)
+        assert report.to_json_data()["status"] == report.status
 
 
 def test_identity_token_lookup():

@@ -1,5 +1,5 @@
 """Polynomial tests: canonical form, exact evaluation, the triangle-driven
-monomial and residual constructions, and the JSON codec."""
+monomial and residual constructions, and the JSON output."""
 
 import operator
 from fractions import Fraction
@@ -42,12 +42,6 @@ def test_floats_are_rejected():
         Poly([0.5])
     with pytest.raises(TypeError):
         Poly([1]).evaluate(0.25)
-    with pytest.raises(TypeError):
-        Poly([1]) * 0.5
-    with pytest.raises(TypeError):
-        Poly() * 1.5
-    with pytest.raises(TypeError):
-        1.5 * Poly()
 
 
 def test_value_protocol():
@@ -76,14 +70,6 @@ def test_horner_matches_power_sum(coeffs, x):
     p = Poly(coeffs)
     direct = sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
     assert p.evaluate(x) == direct
-
-
-@given(strategies.lists(rationals, max_size=6), strategies.lists(rationals, max_size=6), rationals)
-def test_arithmetic_is_compatible_with_evaluation(a, b, x):
-    pa, pb = Poly(a), Poly(b)
-    assert (pa + pb).evaluate(x) == pa.evaluate(x) + pb.evaluate(x)
-    assert (pa - pb).evaluate(x) == pa.evaluate(x) - pb.evaluate(x)
-    assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
 
 
 def test_monomial():
@@ -133,8 +119,11 @@ def test_residual_polys_vanish():
 def test_basis_minus_monomial_equals_residual():
     # the two constructions differ only by the diagonal term, which is x^m
     for m in range(1, 41):
-        assert basis_poly_first(m) - Poly.monomial(m) == residual_poly_first(m)
-        assert basis_poly_second(m) - Poly.monomial(m) == residual_poly_second(m)
+        for basis, residual in ((basis_poly_first, residual_poly_first),
+                                (basis_poly_second, residual_poly_second)):
+            built = basis(m)
+            assert Poly(built.coeffs[:m]) == residual(m)
+            assert built.coefficient(m) == 1
 
 
 def test_basis_poly_point_checks():
@@ -152,18 +141,18 @@ def test_builder_domain_and_cap_errors():
     from stirling.engine import StirlingCalculator
     from stirling.exact import IndexLimitError
 
-    for builder in (basis_poly_first, basis_poly_second,
-                    residual_poly_first, residual_poly_second):
-        with pytest.raises(ValueError):
+    for builder, name in ((basis_poly_first, "m"), (basis_poly_second, "j"),
+                          (residual_poly_first, "m"), (residual_poly_second, "j")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got bool$"):
+            builder(True)
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            builder(-1)
+        with pytest.raises(IndexLimitError, match=f"^{name}=51 exceeds the index cap of 50$"):
+            builder(51, StirlingCalculator(index_cap=50))
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
             builder(0)
-        with pytest.raises(IndexLimitError):
-            builder(60, StirlingCalculator(index_cap=50))
 
 
 def test_json_codec():
-    p = Poly([Fraction(1, 2), 0, -3])
-    items = p.to_json_list()
-    assert items == ["1/2", "0", "-3"]
-    assert Poly.from_json_list(items) == p
+    assert Poly([Fraction(1, 2), 0, -3]).to_json_list() == ["1/2", "0", "-3"]
     assert Poly().to_json_list() == []
-    assert Poly.from_json_list([]) == Poly()
