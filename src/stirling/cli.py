@@ -147,7 +147,7 @@ def _render_table(rows, align_right=True) -> str:
 
 
 def _cmd_triangle(args, calc) -> int:
-    triangle = calc.triangle(StirlingKind.from_token(args.kind), args.rows)
+    triangle = calc.triangle(StirlingKind(args.kind), args.rows)
     if args.format == "csv":
         sys.stdout.write(triangle.to_csv())
     elif args.format == "json":
@@ -158,7 +158,7 @@ def _cmd_triangle(args, calc) -> int:
 
 
 def _cmd_value(args, calc) -> int:
-    print(calc.value(StirlingKind.from_token(args.kind), args.n, args.m))
+    print(calc.value(StirlingKind(args.kind), args.n, args.m))
     return EXIT_OK
 
 
@@ -181,7 +181,7 @@ def _parse_fault(fault: str, index_cap: int) -> PerturbedCalculator:
         raise ValueError(f"--inject-fault expects integer N:M[:DELTA], got {fault!r}")
     try:
         return PerturbedCalculator(
-            StirlingKind.from_token(kind_token), n, m, delta, index_cap=index_cap
+            StirlingKind(kind_token), n, m, delta, index_cap=index_cap
         )
     except ValueError as exc:
         raise ValueError(f"--inject-fault: {exc}")
@@ -216,7 +216,7 @@ def _cmd_verify(args, calc) -> int:
     if args.identity == "all":
         reports = run_all(args.max_index, calc)
     else:
-        reports = [run_identity(IdentityId.from_token(args.identity), args.max_index, calc)]
+        reports = [run_identity(IdentityId(args.identity), args.max_index, calc)]
     all_passed = all(report.passed for report in reports)
 
     if args.format == "json":

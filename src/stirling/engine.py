@@ -43,24 +43,12 @@ from operator import add, mul, sub
 from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
 
 
-def _from_token(enum_cls, token: str, noun: str):
-    for member in enum_cls:
-        if member.value == token:
-            return member
-    valid = ", ".join(member.value for member in enum_cls)
-    raise ValueError(f"unknown {noun} {token!r}; expected one of: {valid}")
-
-
 class StirlingKind(enum.Enum):
     """Triangle selector; values double as the CLI tokens."""
 
     FIRST_SIGNED = "first"
     FIRST_UNSIGNED = "first-unsigned"
     SECOND = "second"
-
-    @classmethod
-    def from_token(cls, token: str) -> "StirlingKind":
-        return _from_token(cls, token, "triangle kind")
 
 
 def _stored(kind: StirlingKind) -> StirlingKind:

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: exactness and index guards, binomials,
-factorials, and canonical text forms.
+"""Exact arithmetic substrate: exactness and index guards, factorials, and
+canonical text forms.
 
 Integers are plain ``int`` and rationals ``fractions.Fraction``, exact at any
 size. The package's only exactness tests are :func:`check_int` (a plain int,
@@ -71,18 +71,9 @@ def check_index(value: int, cap: int = DEFAULT_INDEX_CAP, name: str = "index") -
     return value
 
 
-def binomial(n: int, k: int, cap: int = DEFAULT_INDEX_CAP) -> int:
-    """C(n, k), exactly. k outside 0..n yields 0 rather than an error, so
-    sums with unconditional bounds can be written without edge guards."""
-    check_index(n, cap, "n")
-    if check_int(k, "k") < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def factorial(n: int, cap: int = DEFAULT_INDEX_CAP) -> int:
+def factorial(n: int) -> int:
     """n!, exactly, with 0! = 1."""
-    check_index(n, cap, "n")
+    check_index(n, name="n")
     return math.factorial(n)
 
 

@@ -39,11 +39,10 @@ too. Each inner sum is then one dot product of plain ints.
 import enum
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import getitem, mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
-from .engine import _SHARED, _from_token, _read_rows
+from .engine import _SHARED, _read_rows
 from .exact import check_index, dump_json, format_rational
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -68,18 +67,14 @@ class IdentityId(enum.Enum):
     DERIV_RELATION_17 = "eq17"
     DERIV_RELATION_18 = "eq18"
 
-    @classmethod
-    def from_token(cls, token: str) -> "IdentityId":
-        return _from_token(cls, token, "identity")
-
 
 @dataclass(frozen=True)
 class Counterexample:
     """One failing index point, both sides recorded exactly as computed."""
 
     indices: dict
-    lhs: object
-    rhs: object
+    lhs: int
+    rhs: int
 
     def to_json_data(self) -> dict:
         return {
@@ -262,14 +257,13 @@ def _sweep_rows(relation, name, outer, inner):
 
 def _sweep_poly(name, outer, inner, residual):
     # coefficients 1..index of row index of outer·inner against x^index, or
-    # (residual) 1..index-1 against zero; recorded as Fractions, as Poly has them
+    # (residual) 1..index-1 against zero
     def sweep(max_index, calc):
         for index, built in enumerate(_product(calc, outer, inner, max_index, 1), 1):
-            want = [0] * index + [1]
             for k in range(1, index if residual else index + 1):
-                if built[k] != want[k]:
-                    lhs, rhs = Fraction(built[k]), Fraction(want[k])
-                    yield Counterexample({name: index, "k": k}, lhs, rhs)
+                expected = 1 if k == index else 0
+                if built[k] != expected:
+                    yield Counterexample({name: index, "k": k}, built[k], expected)
 
     return _range_from(1, name), sweep
 

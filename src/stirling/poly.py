@@ -43,17 +43,12 @@ class Poly:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, power: int, coeff=1) -> "Poly":
-        check_limit(power, "power")
-        return cls([0] * power + [coeff])
+    def monomial(cls, power: int) -> "Poly":
+        return cls([0] * check_limit(power, "power") + [1])
 
     @property
     def coeffs(self) -> tuple:
         return self._coeffs
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs

@@ -23,6 +23,7 @@ from stirling.cli import (
     build_parser,
     run,
 )
+from stirling.engine import StirlingKind, stirling
 from stirling.exact import dump_json
 from stirling.oracle import count_set_partitions
 
@@ -36,6 +37,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # argv, exit code, stdout and stderr of triangle, value, convert, oracle-check
 # and bad --inject-fault specs; see CHANGES.md for how it was written
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+IDENTITY_TOKENS = [
+    "eq1", "eq2", "eq3", "eq4", "eq5", "eq6",
+    "eq11", "eq12", "eq13", "eq14", "eq15", "eq16", "eq17", "eq18",
+]
 
 
 @pytest.fixture(autouse=True)
@@ -146,10 +151,7 @@ def test_verify_all_reports_and_exit_zero(capsys):
     data = json.loads(out)
     assert dump_json(data) + "\n" == out
     assert data["all_passed"] is True
-    assert [r["id"] for r in data["reports"]] == [
-        "eq1", "eq2", "eq3", "eq4", "eq5", "eq6",
-        "eq11", "eq12", "eq13", "eq14", "eq15", "eq16", "eq17", "eq18",
-    ]
+    assert [r["id"] for r in data["reports"]] == IDENTITY_TOKENS
     assert all(r["status"] == "pass" for r in data["reports"])
 
 
@@ -158,6 +160,25 @@ def test_verify_table_lists_every_identity(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["id", "status", "range", "counterexamples", "elapsed"]
     assert "14 identities checked, all passed" in out
+
+
+def test_every_kind_and_identity_token_resolves(capsys):
+    kinds = {
+        "first": StirlingKind.FIRST_SIGNED,
+        "first-unsigned": StirlingKind.FIRST_UNSIGNED,
+        "second": StirlingKind.SECOND,
+    }
+    for token, kind in kinds.items():
+        assert run(["value", "--kind", token, "6", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == f"{stirling(kind, 6, 3)}\n"
+        assert run(["triangle", "--kind", token, "--rows", "3", "--format", "csv"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 4
+    for token in IDENTITY_TOKENS:
+        assert run(["verify", "--identity", token, "--max", "6", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["id"] == token
+    assert run(["verify", "--identity", "all", "--max", "6", "--format", "json"]) == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [report["id"] for report in reports] == IDENTITY_TOKENS
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,5 +1,5 @@
-"""Substrate tests: binomials and factorials against brute-force oracles,
-index guard rails, and the exact text codecs."""
+"""Substrate tests: factorials against a brute-force oracle, index guard
+rails, and the exact text codecs."""
 
 import json
 from fractions import Fraction
@@ -10,7 +10,6 @@ from hypothesis import given, strategies
 from stirling.exact import (
     DEFAULT_INDEX_CAP,
     IndexLimitError,
-    binomial,
     check_index,
     check_int,
     check_limit,
@@ -24,46 +23,11 @@ from stirling.exact import (
 )
 
 
-def pascal_triangle(rows):
-    # additive oracle: nothing but C(0,0) = 1 and Pascal's rule
-    tri = [[1]]
-    for n in range(1, rows + 1):
-        prev = tri[-1]
-        tri.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return tri
-
-
 def product_factorial(n):
     out = 1
     for i in range(1, n + 1):
         out *= i
     return out
-
-
-def test_binomial_examples():
-    assert binomial(5, 0) == 1
-    assert binomial(5, 2) == 10 == pascal_triangle(5)[5][2]
-    assert binomial(3, 5) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_matches_pascal_oracle():
-    tri = pascal_triangle(40)
-    for n in range(41):
-        for k in range(n + 1):
-            assert binomial(n, k) == tri[n][k]
-
-
-def test_binomial_pascal_and_symmetry_invariants():
-    for n in range(1, 101):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-            assert binomial(n, k) == binomial(n, n - k)
-
-
-def test_binomial_row_sums_are_powers_of_two():
-    for n in range(31):
-        assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
 
 
 def test_factorial_examples():
@@ -82,7 +46,6 @@ def test_large_values_stay_exact():
     value = factorial(2000)
     assert len(str(value)) > 5000
     assert value % 2000 == 0
-    assert binomial(2000, 1000) == factorial(2000) // (factorial(1000) ** 2)
 
 
 def test_index_guard_rails():
@@ -90,8 +53,6 @@ def test_index_guard_rails():
     assert check_index(DEFAULT_INDEX_CAP) == DEFAULT_INDEX_CAP
     with pytest.raises(IndexLimitError):
         check_index(DEFAULT_INDEX_CAP + 1)
-    with pytest.raises(IndexLimitError):
-        binomial(DEFAULT_INDEX_CAP + 1, 2)
     with pytest.raises(IndexLimitError):
         factorial(20_000)
     with pytest.raises(ValueError):
@@ -114,8 +75,6 @@ def test_exactness_guards():
             check_int(inexact, "n")
     with pytest.raises(TypeError):
         check_index(Small(3))
-    with pytest.raises(TypeError, match="k must be an int, got float"):
-        binomial(5, 2.0)
     assert check_rational("2/4") == Fraction(1, 2)
     assert check_rational(3) == Fraction(3)
     with pytest.raises(TypeError, match="floats are not exact"):

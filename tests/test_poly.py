@@ -29,14 +29,6 @@ def test_trailing_zeros_are_trimmed():
     assert Poly([0]) == Poly()
 
 
-def test_degree_convention():
-    assert Poly().degree() == -1
-    assert Poly([5]).degree() == 0
-    assert Poly([0, 1, 7]).degree() == 2
-    p = Poly([3, 0, 2])
-    assert p.degree() == len(p.coeffs) - 1
-
-
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         Poly([0.5])
@@ -75,7 +67,6 @@ def test_horner_matches_power_sum(coeffs, x):
 def test_monomial():
     assert Poly.monomial(0) == Poly([1])
     assert Poly.monomial(3).coeffs == (0, 0, 0, 1)
-    assert Poly.monomial(2, Fraction(1, 2)).evaluate(4) == 8
     with pytest.raises(ValueError, match="power must be non-negative, got -1"):
         Poly.monomial(-1)
     for inexact in (True, 2.0, 2.5):
@@ -107,13 +98,9 @@ def test_basis_poly_reconstructs_monomials_coefficientwise():
 
 
 def test_residual_polys_vanish():
-    assert residual_poly_first(1).is_zero()
-    assert residual_poly_second(1).is_zero()
     for m in range(1, 41):
         assert residual_poly_first(m).is_zero()
         assert residual_poly_second(m).is_zero()
-    assert residual_poly_first(25).is_zero()
-    assert residual_poly_second(25).is_zero()
 
 
 def test_basis_minus_monomial_equals_residual():
