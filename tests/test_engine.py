@@ -239,6 +239,33 @@ def test_pascal_table_rows_are_signed_binomials():
     assert _pascal(0) == []
 
 
+def pascal_triangle(rows):
+    # additive oracle: nothing but C(0,0) = 1 and Pascal's rule
+    tri = [[1]]
+    for n in range(1, rows + 1):
+        prev = tri[-1]
+        tri.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
+    return tri
+
+
+def test_pascal_table_matches_additive_oracle():
+    tri = pascal_triangle(40)
+    rows = _pascal(41)
+    for r in range(41):
+        assert rows[r] == tuple((-1) ** j * c for j, c in enumerate(tri[r]))
+
+
+def test_pascal_table_rule_symmetry_and_row_sums():
+    rows = _pascal(101)
+    for r in range(1, 101):
+        # (1 - x)^r = (1 - x)^(r-1) - x (1 - x)^(r-1)
+        prev = rows[r - 1] + (0,)
+        assert rows[r] == tuple(prev[j] - (prev[j - 1] if j else 0) for j in range(r + 1))
+        assert [abs(c) for c in rows[r]] == [abs(c) for c in reversed(rows[r])]
+        assert sum(rows[r]) == 0
+        assert sum(map(abs, rows[r])) == 2**r
+
+
 def test_conversion_domain_errors():
     for bad in [(3, 0), (0, 0), (2, 3)]:
         with pytest.raises(ValueError):

@@ -29,6 +29,14 @@ def test_trailing_zeros_are_trimmed():
     assert Poly([0]) == Poly()
 
 
+def test_degree_convention():
+    # the degree is len(coeffs) - 1, since coeffs carry no trailing zeros
+    assert len(Poly().coeffs) - 1 == -1
+    assert len(Poly([5]).coeffs) - 1 == 0
+    assert len(Poly([0, 1, 7, 0, 0]).coeffs) - 1 == 2
+    assert Poly([3, 0, 2]).coeffs[-1] == 2
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         Poly([0.5])
