@@ -25,7 +25,7 @@ import os
 import sys
 
 from .engine import PerturbedCalculator, StirlingCalculator, StirlingKind
-from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, check_limit, dump_json
+from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, check_index, check_limit, dump_json
 from .identities import IdentityId, run_all, run_identity
 from .oracle import (
     BudgetExceededError,
@@ -206,8 +206,7 @@ def _print_counterexamples(report):
     print(f"counterexamples for {report.id.value}:")
     for ce in report.counterexamples:
         where = ", ".join(f"{name}={value}" for name, value in ce.indices.items())
-        data = ce.to_json_data()
-        print(f"  {where}: lhs={data['lhs']} rhs={data['rhs']}")
+        print(f"  {where}: lhs={ce.lhs} rhs={ce.rhs}")
 
 
 def _cmd_verify(args, calc) -> int:
@@ -225,9 +224,9 @@ def _cmd_verify(args, calc) -> int:
                 "reports": [report.to_json_data() for report in reports],
                 "all_passed": all_passed,
             }
-            print(dump_json(payload))
         else:
-            print(reports[0].to_json())
+            payload = reports[0].to_json_data()
+        print(dump_json(payload))
     else:
         sys.stdout.write(_render_table(_report_rows(reports), align_right=False))
         for report in reports:
@@ -246,23 +245,21 @@ def _cmd_oracle_check(args, calc) -> int:
         raise ValueError(f"--max must be at least 1, got {args.max_n}")
     if args.max_n > budget:
         raise BudgetExceededError(args.max_n, budget)
+    check_index(args.max_n, calc.index_cap, "max_row")
 
-    # every entry of both triangles to --max: one snapshot each, not one walk per entry
-    unsigned = calc.triangle(StirlingKind.FIRST_UNSIGNED, args.max_n)
-    second = calc.triangle(StirlingKind.SECOND, args.max_n)
     cases = 0
     mismatches = []
     for n in range(1, args.max_n + 1):
         for m in range(1, n + 1):
             pairs = (
-                (unsigned, count_permutations_by_cycles(n, m, budget)),
-                (second, count_set_partitions(n, m, budget)),
+                (StirlingKind.FIRST_UNSIGNED, count_permutations_by_cycles(n, m, budget)),
+                (StirlingKind.SECOND, count_set_partitions(n, m, budget)),
             )
-            for triangle, counted in pairs:
+            for kind, counted in pairs:
                 cases += 1
-                computed = triangle.value(n, m)
+                computed = calc.value(kind, n, m)
                 if computed != counted:
-                    mismatches.append((triangle.kind, n, m, computed, counted))
+                    mismatches.append((kind, n, m, computed, counted))
 
     if not mismatches:
         print(f"{cases} cases, all equal")

@@ -62,7 +62,7 @@ def _stored(kind: StirlingKind) -> StirlingKind:
 
 @dataclass(frozen=True, repr=False, slots=True)
 class Triangle:
-    """Immutable snapshot of rows 0..max_row of one triangle kind; int entries."""
+    """Immutable snapshot of the first rows of one triangle kind; int entries."""
 
     kind: StirlingKind
     rows: tuple
@@ -80,22 +80,8 @@ class Triangle:
             rows.append(row)
         object.__setattr__(self, "rows", tuple(rows))
 
-    @property
-    def max_row(self) -> int:
-        return len(self.rows) - 1
-
-    def row(self, n: int) -> tuple:
-        if check_limit(n, "n") >= len(self.rows):
-            raise ValueError(f"row {n} is not stored (max_row={self.max_row})")
-        return self.rows[n]
-
-    def value(self, n: int, m: int) -> int:
-        """Entry (n, m); zero outside the triangle. n must be a stored row."""
-        row = self.row(n)
-        return row[m] if check_limit(m, "m") <= n else 0
-
     def __repr__(self):
-        return f"Triangle({self.kind.value!r}, rows=0..{self.max_row})"
+        return f"Triangle({self.kind.value!r}, rows=0..{len(self.rows) - 1})"
 
     def to_csv(self) -> str:
         """Ragged comma-separated exact decimals, one row per line, no header."""

@@ -43,7 +43,7 @@ from operator import getitem, mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
 from .engine import _SHARED, _read_rows
-from .exact import check_index, dump_json, format_rational
+from .exact import check_index
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
@@ -79,8 +79,8 @@ class Counterexample:
     def to_json_data(self) -> dict:
         return {
             "indices": dict(self.indices),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
         }
 
 
@@ -110,9 +110,6 @@ class IdentityReport:
             "counterexamples": [c.to_json_data() for c in self.counterexamples],
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return dump_json(self.to_json_data())
 
 
 # scalar checks

@@ -23,7 +23,7 @@ from stirling.cli import (
     build_parser,
     run,
 )
-from stirling.engine import StirlingKind, stirling
+from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind, stirling
 from stirling.exact import dump_json
 from stirling.oracle import count_set_partitions
 
@@ -262,6 +262,38 @@ def test_oracle_check_reports_a_mismatch(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "30 cases, 1 mismatch\n  second (n=4, m=2): engine=7 enumeration=8\n"
     )
+
+
+def test_oracle_check_reads_the_calculator_not_a_snapshot(monkeypatch, capsys):
+    def no_snapshot(self, kind, max_row):
+        raise AssertionError("oracle-check took a triangle snapshot")
+
+    monkeypatch.setattr(StirlingCalculator, "triangle", no_snapshot)
+    assert run(["oracle-check", "--max", "6"]) == EXIT_OK
+    assert capsys.readouterr().out == "42 cases, all equal\n"
+
+
+def test_oracle_check_checks_the_index_cap_before_enumerating(monkeypatch, capsys):
+    def no_enumeration(n, m, budget):
+        raise AssertionError("oracle-check enumerated past the index cap")
+
+    monkeypatch.setattr("stirling.cli.count_permutations_by_cycles", no_enumeration)
+    assert run(["--index-cap", "4", "oracle-check", "--max", "5"]) == EXIT_LIMIT
+    assert capsys.readouterr().err == "stirling: max_row=5 exceeds the index cap of 4\n"
+
+
+@pytest.mark.parametrize("kind, n, m, line", [
+    (StirlingKind.SECOND, 4, 2, "second (n=4, m=2): engine=8 enumeration=7"),
+    # the signed entry -50 goes to -49: the unsigned view reads 49
+    (StirlingKind.FIRST_SIGNED, 5, 2, "first-unsigned (n=5, m=2): engine=49 enumeration=50"),
+], ids=["second", "first-signed"])
+def test_oracle_check_catches_an_engine_fault(monkeypatch, capsys, kind, n, m, line):
+    def faulty(index_cap):
+        return PerturbedCalculator(kind, n, m, index_cap=index_cap)
+
+    monkeypatch.setattr("stirling.cli.StirlingCalculator", faulty)
+    assert run(["oracle-check", "--max", "6"]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == f"42 cases, 1 mismatch\n  {line}\n"
 
 
 def test_oracle_check_max_below_one_is_usage_error(capsys):

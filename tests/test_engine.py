@@ -346,30 +346,6 @@ def test_conversions_reach_rows_beyond_requested_n():
     assert len(calc._rows[SECOND]) >= 79
 
 
-def test_triangle_snapshot_accessors():
-    tri = build_triangle(SECOND, 4)
-    assert tri.max_row == 4
-    assert tri.row(2) == (0, 1, 1)
-    assert tri.value(4, 2) == 7
-    assert tri.value(2, 4) == 0
-    not_stored = r"row 5 is not stored \(max_row=4\)"
-    with pytest.raises(ValueError, match=not_stored):
-        tri.value(5, 1)
-    with pytest.raises(ValueError, match=not_stored):
-        tri.row(tri.max_row + 1)
-    with pytest.raises(ValueError):
-        tri.value(-1, 0)
-    for n, m in [(True, 0), (1.5, 3), (4, 5.0)]:
-        with pytest.raises(TypeError):
-            tri.value(n, m)
-    with pytest.raises(TypeError):
-        tri.row(2.0)
-    with pytest.raises(ValueError):
-        tri.row(-1)
-    assert tri == build_triangle(SECOND, 4)
-    assert tri != build_triangle(FIRST, 4)
-
-
 def test_triangle_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Triangle(SECOND, [(1,), (0, 1, 9)])

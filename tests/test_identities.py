@@ -256,7 +256,7 @@ def test_orthogonality_sweeps_agree_with_the_scalar_check(kind, n, m, delta):
 
 def test_report_json_schema_and_round_trip():
     report = run_identity(IdentityId.UNIT_SUM_6, 12)
-    text = report.to_json()
+    text = dump_json(report.to_json_data())
     data = json.loads(text)
     assert list(data) == ["id", "range", "status", "counterexamples", "elapsed_ms"]
     assert data["id"] == "eq6"
@@ -267,12 +267,14 @@ def test_report_json_schema_and_round_trip():
 
     faulty = PerturbedCalculator(FIRST, 6, 3, delta=-1)
     failing = run_identity(IdentityId.ORTHOGONALITY_3, 10, faulty)
-    data = json.loads(failing.to_json())
+    data = json.loads(dump_json(failing.to_json_data()))
     assert data["status"] == "fail"
     ce = data["counterexamples"][0]
     assert list(ce) == ["indices", "lhs", "rhs"]
     assert all(isinstance(v, int) for v in ce["indices"].values())
     assert isinstance(ce["lhs"], str) and isinstance(ce["rhs"], str)
+    first = failing.counterexamples[0]
+    assert (ce["lhs"], ce["rhs"]) == (str(first.lhs), str(first.rhs))
 
 
 def test_report_status_follows_its_counterexamples():
