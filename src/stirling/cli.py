@@ -245,7 +245,7 @@ def _cmd_oracle_check(args, calc) -> int:
         raise ValueError(f"--max must be at least 1, got {args.max_n}")
     if args.max_n > budget:
         raise BudgetExceededError(args.max_n, budget)
-    check_index(args.max_n, calc.index_cap, "max_row")
+    check_index(args.max_n, calc.index_cap, "--max")
 
     cases = 0
     mismatches = []

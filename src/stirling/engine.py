@@ -18,14 +18,18 @@ no synchronization once a row exists. Entries are read two ways. Whole rows
 come from :meth:`StirlingCalculator.row`, which fills the memo: triangles and
 conversions read them there, the sweeps fetch each row they need once, and
 every row of the products s·S and S·s comes from one function, ``_product``.
+The eq1/eq2 sweeps up to N read source diagonals 0..N-1, entries (d + k, k)
+with k <= d, which reach row 2N - 2: rows 0..N-1 come through ``row()`` and
+rows N..2N-2 are walked as a band that drops its left column at every row and
+is stored nowhere, so the memo holds no row past N.
 A point query, :meth:`StirlingCalculator.value`, reads row n if the memo
 holds it; otherwise it walks up from the memo's last row through only the
 columns that reach (n, m), storing nothing, so it runs in
 O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
 the memo last grew have cost as many steps as the missing rows, the query
 fills them instead: one query stays a walk, and many on one calculator cost
-at most about twice the rows they read. The walk and the row fill take the
-same step, ``_next_row``.
+at most about twice the rows they read. The walk, the band and the row fill
+take the same step, ``_next_row``.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -38,7 +42,7 @@ import threading
 from dataclasses import dataclass
 from itertools import repeat, zip_longest
 from math import comb
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
 
 from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
 
@@ -176,8 +180,8 @@ class StirlingCalculator:
 
         The read path of everything but :meth:`value`: triangles,
         conversions, sweeps and polynomial builders read entries out of
-        these rows. n must be a non-negative int, but no cap applies: the
-        eq1/eq2 sweeps up to N read rows up to 2N - 2.
+        these rows. n must be a non-negative int, but no cap applies: a
+        conversion at (n, m) reads rows up to 2(n - m), past the cap.
         """
         rows = self._rows.get(kind)
         if rows is None:
@@ -185,6 +189,23 @@ class StirlingCalculator:
         if len(rows) <= check_limit(n, "n"):
             self._grow(rows, kind, n)
         return rows[n]
+
+    def _diagonals(self, kind: StirlingKind, top: int) -> list:
+        # diagonals 0..top-1 of a stored kind, diagonal d the entries (d + k, k)
+        # for k = 0..d. Rows 0..top-1 come through row(); rows top..2top-2 are
+        # walked as the band of columns r-top+1..top-1 that reaches them, its
+        # left column and right flank dropped at every row, and stored nowhere.
+        # The band starts from the memo's row, never a patched copy, so a fault
+        # cannot spread. On row r, band index i is column r-top+1+i on diagonal
+        # top-1-i, read while that column k <= d.
+        rows = _read_rows(self, kind, top - 1)
+        diagonals = [list(map(getitem, rows[d:], range(d + 1))) for d in range(top)]
+        band = self._rows[kind][top - 1] if top else ()
+        for r in range(top, 2 * top - 1):
+            band = _next_row(kind, band, r - 1, r - top)[1:-1]
+            for i in range(top - (r + 1) // 2):
+                diagonals[top - 1 - i].append(band[i])
+        return diagonals
 
     def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
         # append rows of a stored kind to its memo rows up to row n
@@ -235,11 +256,12 @@ class StirlingCalculator:
 class PerturbedCalculator(StirlingCalculator):
     """Calculator whose one stored entry comes back offset by delta.
 
-    Both reads carry the fault: the copy of its row handed out by
-    :meth:`row`, and the entry :meth:`value` reads, whether from the memo or
-    by a walk past it. The memoized row stays pristine, so rows built later
-    by the recurrence, and walks that start from it, are the healthy ones
-    and the fault never spreads past its own entry.
+    Every read carries the fault: the copy of its row handed out by
+    :meth:`row`, the entry :meth:`value` reads, whether from the memo or by
+    a walk past it, and the entry the eq1/eq2 sweeps read off a walked
+    diagonal. The memoized row stays pristine, so rows built later by the
+    recurrence, and walks and bands that start from it, are the healthy
+    ones and the fault never spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -261,6 +283,15 @@ class PerturbedCalculator(StirlingCalculator):
     def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
         entry = super()._entry(kind, n, m)
         return entry + self.delta if (kind, n, m) == self.target else entry
+
+    def _diagonals(self, kind: StirlingKind, top: int) -> list:
+        # rows below top come patched through row(); the walked rows carry the
+        # fault only where a diagonal reads it, n >= top and m <= n - m < top
+        diagonals = super()._diagonals(kind, top)
+        target_kind, n, m = self.target
+        if kind is target_kind and n >= top and m <= n - m < top:
+            diagonals[n - m][m] += self.delta
+        return diagonals
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         row = super().row(kind, n)

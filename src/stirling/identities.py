@@ -33,13 +33,15 @@ sits outside and which inside, behind the public ``*_first``/``*_second``
 names. A sweep reads each row once and builds what its sums share once: inner
 row sums or columns, eq1/eq2's Pascal table and source diagonals, or the rows
 of s·S or S·s from ``engine._product``, which the polynomial builders use
-too. Each inner sum is then one dot product of plain ints.
+too. Each inner sum is then one dot product of plain ints. The source
+diagonals reach row 2N - 2, but the calculator walks rows N..2N-2 of them as
+a band, so the sweep stores no source row past N - 1.
 """
 
 import enum
 import time
 from dataclasses import dataclass
-from operator import getitem, mul
+from operator import mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
 from .engine import _SHARED, _read_rows
@@ -208,11 +210,7 @@ def _sweep_conversion(target, source):
     def sweep(max_index, calc):
         pascal = _pascal(max_index)
         columns = _columns(pascal, max_index)
-        sources = _read_rows(calc, source, 2 * max_index - 2)
-        # diagonal d: entry (d + k, k) for k = 0..d
-        diagonals = [
-            tuple(map(getitem, sources[d:], range(d + 1))) for d in range(max_index)
-        ]
+        diagonals = calc._diagonals(source, max_index)
         for n in range(1, max_index + 1):
             direct = calc.row(target, n)
             for m in range(1, n + 1):

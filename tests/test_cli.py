@@ -186,6 +186,8 @@ def test_every_kind_and_identity_token_resolves(capsys):
     ("healthy", [], EXIT_OK),
     ("second-6-3-1", ["--inject-fault", "second:6:3:1"], EXIT_VIOLATION),
     ("first-0-0-2", ["--inject-fault", "first:0:0:2"], EXIT_VIOLATION),
+    # a fault past row 12 that eq1 reads off a walked source diagonal
+    ("second-15-4-1", ["--inject-fault", "second:15:4:1"], EXIT_VIOLATION),
 ])
 def test_verify_all_matches_the_golden_bytes(capsys, fmt, label, fault, code):
     # tests/golden holds this stdout with the timings masked; see CHANGES.md
@@ -279,7 +281,7 @@ def test_oracle_check_checks_the_index_cap_before_enumerating(monkeypatch, capsy
 
     monkeypatch.setattr("stirling.cli.count_permutations_by_cycles", no_enumeration)
     assert run(["--index-cap", "4", "oracle-check", "--max", "5"]) == EXIT_LIMIT
-    assert capsys.readouterr().err == "stirling: max_row=5 exceeds the index cap of 4\n"
+    assert capsys.readouterr().err == "stirling: --max=5 exceeds the index cap of 4\n"
 
 
 @pytest.mark.parametrize("kind, n, m, line", [

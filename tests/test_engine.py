@@ -204,8 +204,11 @@ def test_conversion_round_trip_against_recurrences():
         StirlingCalculator(),
         PerturbedCalculator(SECOND, 30, 7, delta=1),
         PerturbedCalculator(FIRST, 33, 2, delta=-3),
+        # faults in source rows >= 40, which the sweeps walk as a band
+        PerturbedCalculator(SECOND, 55, 20),
+        PerturbedCalculator(FIRST, 78, 39, delta=-2),
     ],
-    ids=["healthy", "second:30:7", "first:33:2:-3"],
+    ids=["healthy", "second:30:7", "first:33:2:-3", "second:55:20", "first:78:39:-2"],
 )
 def test_point_and_sweep_conversions_agree(calc):
     # the point path fills the conversion sum from math.comb, the eq1/eq2
@@ -344,6 +347,17 @@ def test_conversions_reach_rows_beyond_requested_n():
     calc = StirlingCalculator(index_cap=40)
     assert calc.first_from_second(40, 1) == calc.value(FIRST, 40, 1)
     assert len(calc._rows[SECOND]) >= 79
+
+
+@pytest.mark.parametrize("identity, source", [
+    (IdentityId.CONVERSION_1, SECOND), (IdentityId.CONVERSION_2, FIRST),
+])
+def test_conversion_sweeps_store_no_source_row_past_the_bound(identity, source):
+    # the sweep up to N reads source rows up to 2N - 2, but only rows 0..N-1
+    # go into the memo; the rest are walked as a band
+    calc = StirlingCalculator()
+    assert run_identity(identity, 30, calc).passed
+    assert len(calc._rows[source]) == 30
 
 
 def test_triangle_rejects_ragged_rows():

@@ -403,6 +403,20 @@ def naive_counterexamples(identity, top, calc):
         # sums and the column dot products at their far ends
         (SECOND, 20, 6, 1, 24),
         (FIRST, 22, 3, 1, 24),
+        # eq1/eq2 walk source rows top..2top-2 as a band: faults it reads, in its
+        # first row, and in row 2top-2 on the last diagonal
+        (SECOND, 15, 4, 1, 12),
+        (FIRST, 12, 5, -1, 12),
+        (FIRST, 22, 11, 1, 12),
+        # faults it does not read: k > d, and row 2top-1
+        (SECOND, 13, 7, 1, 12),
+        (SECOND, 23, 11, 1, 12),
+        # a fault in row top-1, which the band starts from: the walked rows stay healthy
+        (SECOND, 11, 3, 1, 12),
+        # the smallest bounds, where no source row is walked
+        (SECOND, 0, 0, 1, 0),
+        (SECOND, 1, 1, 1, 1),
+        (SECOND, 2, 1, 1, 1),
     ],
 )
 def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta, top):
