@@ -147,6 +147,7 @@ def _render_table(rows, align_right=True) -> str:
 
 
 def _cmd_triangle(args, calc) -> int:
+    check_index(args.rows, calc.index_cap, "--rows")
     triangle = calc.triangle(StirlingKind(args.kind), args.rows)
     if args.format == "csv":
         sys.stdout.write(triangle.to_csv())
@@ -212,6 +213,7 @@ def _print_counterexamples(report):
 def _cmd_verify(args, calc) -> int:
     if args.inject_fault is not None:
         calc = _parse_fault(args.inject_fault, calc.index_cap)
+    check_index(args.max_index, calc.index_cap, "--max")
     if args.identity == "all":
         reports = run_all(args.max_index, calc)
     else:

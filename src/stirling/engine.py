@@ -15,13 +15,15 @@ never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
 N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
-come from :meth:`StirlingCalculator.row`, which fills the memo: triangles and
-conversions read them there, the sweeps fetch each row they need once, and
-every row of the products s·S and S·s comes from one function, ``_product``.
-The eq1/eq2 sweeps up to N read source diagonals 0..N-1, entries (d + k, k)
-with k <= d, which reach row 2N - 2: rows 0..N-1 come through ``row()`` and
-rows N..2N-2 are walked as a band that drops its left column at every row and
-is stored nowhere, so the memo holds no row past N.
+come from :meth:`StirlingCalculator.row`, which fills the memo: triangles read
+them there, the sweeps fetch each row they need once, and every row of the
+products s·S and S·s comes from one function, ``_product``. The eq1/eq2
+sweeps up to N read source diagonals 0..N-1, entries (d + k, k) with k <= d,
+which reach row 2N - 2, and a conversion at (n, m) reads diagonal n - m the
+same way, with N = n - m + 1. Rows 0..N-1 come through ``row()`` and rows
+N..2N-2 are walked as a band that drops its left column at every row and is
+stored nowhere, so the memo holds no row past N and ``row()`` is never asked
+for one past the index cap.
 A point query, :meth:`StirlingCalculator.value`, reads row n if the memo
 holds it; otherwise it walks up from the memo's last row through only the
 columns that reach (n, m), storing nothing, so it runs in
@@ -29,7 +31,8 @@ O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
 the memo last grew have cost as many steps as the missing rows, the query
 fills them instead: one query stays a walk, and many on one calculator cost
 at most about twice the rows they read. The walk, the band and the row fill
-take the same step, ``_next_row``.
+take the same step, ``_next_row``, and every read hands its entries out
+through one hook, ``_seen``, which is where a fault is injected.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -165,14 +168,13 @@ class StirlingCalculator:
         if m > n:
             return 0
         h = len(rows) - 1
-        if n <= h:
-            return rows[n][m]
-        walked = self._walked[kind] + (n - h) * (min(m, n - m) + 1)
-        if walked > (n - h) * (n + h + 3) // 2:
+        if n > h:
+            walked = self._walked[kind] + (n - h) * (min(m, n - m) + 1)
+            if walked <= (n - h) * (n + h + 3) // 2:
+                self._walked[kind] = walked
+                return self._seen(kind, n, m, (_walk(kind, rows[h], h, n, m),))[0]
             self._grow(rows, kind, n)
-            return rows[n][m]
-        self._walked[kind] = walked
-        return _walk(kind, rows[h], h, n, m)
+        return self._seen(kind, n, m, rows[n][m:m + 1])[0]
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
@@ -180,15 +182,20 @@ class StirlingCalculator:
 
         The read path of everything but :meth:`value`: triangles,
         conversions, sweeps and polynomial builders read entries out of
-        these rows. n must be a non-negative int, but no cap applies: a
-        conversion at (n, m) reads rows up to 2(n - m), past the cap.
+        these rows.
         """
         rows = self._rows.get(kind)
         if rows is None:
             _stored(kind)  # raises: the memo holds every stored kind
-        if len(rows) <= check_limit(n, "n"):
+        if len(rows) <= check_index(n, self.index_cap, "n"):
             self._grow(rows, kind, n)
-        return rows[n]
+        return self._seen(kind, n, 0, rows[n])
+
+    def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
+        # columns lo.. of row n of a stored kind as every read hands them out:
+        # row(), the memo read and the walk of value(), and the walked rows of
+        # _diagonals. The memo, the walks and the band keep the rows as built.
+        return entries
 
     def _diagonals(self, kind: StirlingKind, top: int) -> list:
         # diagonals 0..top-1 of a stored kind, diagonal d the entries (d + k, k)
@@ -203,8 +210,9 @@ class StirlingCalculator:
         band = self._rows[kind][top - 1] if top else ()
         for r in range(top, 2 * top - 1):
             band = _next_row(kind, band, r - 1, r - top)[1:-1]
+            seen = self._seen(kind, r, r - top + 1, band)
             for i in range(top - (r + 1) // 2):
-                diagonals[top - 1 - i].append(band[i])
+                diagonals[top - 1 - i].append(seen[i])
         return diagonals
 
     def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
@@ -249,19 +257,19 @@ class StirlingCalculator:
         d = n - m
         column = [(-1) ** (m - 1) * comb(n - 1 + k, m - 1) for k in range(d + 1)]
         row = [(-1) ** (d - k) * comb(n + d, d - k) for k in range(d + 1)]
-        diagonal = [self.row(source, d + k)[k] for k in range(d + 1)]
-        return _conversion_sum(n, column, row, diagonal)
+        return _conversion_sum(n, column, row, self._diagonals(source, d + 1)[d])
 
 
 class PerturbedCalculator(StirlingCalculator):
     """Calculator whose one stored entry comes back offset by delta.
 
-    Every read carries the fault: the copy of its row handed out by
-    :meth:`row`, the entry :meth:`value` reads, whether from the memo or by
-    a walk past it, and the entry the eq1/eq2 sweeps read off a walked
-    diagonal. The memoized row stays pristine, so rows built later by the
-    recurrence, and walks and bands that start from it, are the healthy
-    ones and the fault never spreads past its own entry.
+    The fault lives in one hook, ``_seen``, which every read goes through:
+    the copy of its row handed out by :meth:`row`, the entry :meth:`value`
+    reads, whether from the memo or by a walk past it, and the walked
+    diagonals that the eq1/eq2 sweeps and the conversions read. The memoized
+    row stays pristine, so rows built later by the recurrence, and walks and
+    bands that start from it, are the healthy ones and the fault never
+    spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -280,26 +288,13 @@ class PerturbedCalculator(StirlingCalculator):
         self.target = (_stored(kind), n, m)
         self.delta = delta
 
-    def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
-        entry = super()._entry(kind, n, m)
-        return entry + self.delta if (kind, n, m) == self.target else entry
-
-    def _diagonals(self, kind: StirlingKind, top: int) -> list:
-        # rows below top come patched through row(); the walked rows carry the
-        # fault only where a diagonal reads it, n >= top and m <= n - m < top
-        diagonals = super()._diagonals(kind, top)
-        target_kind, n, m = self.target
-        if kind is target_kind and n >= top and m <= n - m < top:
-            diagonals[n - m][m] += self.delta
-        return diagonals
-
-    def row(self, kind: StirlingKind, n: int) -> tuple:
-        row = super().row(kind, n)
+    def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         target_kind, target_n, target_m = self.target
-        if kind is not target_kind or n != target_n:
-            return row
-        patched = list(row)
-        patched[target_m] += self.delta
+        i = target_m - lo
+        if kind is not target_kind or n != target_n or not 0 <= i < len(entries):
+            return entries
+        patched = list(entries)
+        patched[i] += self.delta
         return tuple(patched)
 
 

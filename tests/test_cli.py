@@ -284,6 +284,24 @@ def test_oracle_check_checks_the_index_cap_before_enumerating(monkeypatch, capsy
     assert capsys.readouterr().err == "stirling: --max=5 exceeds the index cap of 4\n"
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "--identity", "eq1", "--max", "5"], EXIT_LIMIT,
+     "--max=5 exceeds the index cap of 4"),
+    (["triangle", "--kind", "second", "--rows", "5"], EXIT_LIMIT,
+     "--rows=5 exceeds the index cap of 4"),
+    (["verify", "--identity", "eq1", "--max", "-1"], EXIT_USAGE,
+     "--max must be non-negative, got -1"),
+    (["triangle", "--kind", "second", "--rows", "-1"], EXIT_USAGE,
+     "--rows must be non-negative, got -1"),
+    # the fault is parsed first, so its index is the one reported
+    (["verify", "--identity", "all", "--max", "5", "--inject-fault", "second:6:2"],
+     EXIT_LIMIT, "n=6 exceeds the index cap of 4"),
+], ids=["verify", "triangle", "verify-negative", "triangle-negative", "verify-fault"])
+def test_index_errors_name_the_flag(capsys, argv, code, err):
+    assert run(["--index-cap", "4", *argv]) == code
+    assert capsys.readouterr().err == f"stirling: {err}\n"
+
+
 @pytest.mark.parametrize("kind, n, m, line", [
     (StirlingKind.SECOND, 4, 2, "second (n=4, m=2): engine=8 enumeration=7"),
     # the signed entry -50 goes to -49: the unsigned view reads 49

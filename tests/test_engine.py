@@ -323,6 +323,9 @@ def test_index_cap_enforced():
         calc.triangle(SECOND, 51)
     with pytest.raises(IndexLimitError):
         calc.first_from_second(51, 1)
+    assert len(calc.row(SECOND, 50)) == 51
+    with pytest.raises(IndexLimitError):
+        calc.row(SECOND, 51)
     with pytest.raises(ValueError):
         calc.value(SECOND, -1, 0)
 
@@ -341,12 +344,17 @@ def test_row_index_is_a_non_negative_int(make, kind):
             calc.row(kind, inexact)
 
 
-def test_conversions_reach_rows_beyond_requested_n():
-    # the alternating sums read second-kind entries up to row 2(n - m), past
-    # the index cap; the cache must grow there transparently
+@pytest.mark.parametrize("convert, source, target", [
+    (StirlingCalculator.first_from_second, SECOND, FIRST),
+    (StirlingCalculator.second_from_first, FIRST, SECOND),
+], ids=["s1-from-s2", "s2-from-s1"])
+def test_conversions_reach_rows_beyond_requested_n(convert, source, target):
+    # the alternating sum at (n, m) reads source entries up to row 2(n - m),
+    # past the index cap, but only rows 0..n-m go into the memo; the rest are
+    # walked as a band
     calc = StirlingCalculator(index_cap=40)
-    assert calc.first_from_second(40, 1) == calc.value(FIRST, 40, 1)
-    assert len(calc._rows[SECOND]) >= 79
+    assert convert(calc, 40, 1) == calc.value(target, 40, 1)
+    assert len(calc._rows[source]) == 40
 
 
 @pytest.mark.parametrize("identity, source", [

@@ -5,6 +5,7 @@ reports, exhaustive counterexample collection, and mutation sensitivity
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -315,6 +316,17 @@ def test_single_entry_mutations_are_detected():
         assert any(not r.passed for r in outcomes), (kind, n, m)
 
 
+def naive_conversion(source, n, m):
+    """The eq1 sum at (n, m) written out term by term, each term's entry
+    read through ``source``: s(n, m) when source reads S, and S(n, m) when
+    it reads s."""
+    return sum(
+        (-1) ** k * comb(n - 1 + k, n - m + k) * comb(2 * n - m, n - m - k)
+        * source(n - m + k, k)
+        for k in range(n - m + 1)
+    )
+
+
 def naive_counterexamples(identity, top, calc):
     """(indices, lhs, rhs) of every violation a sweep of ``identity`` up to
     ``top`` must report, in sweep order: each sum written out term by term
@@ -342,12 +354,7 @@ def naive_counterexamples(identity, top, calc):
     if identity in (IdentityId.CONVERSION_1, IdentityId.CONVERSION_2):
         for n in range(1, top + 1):
             for m in range(1, n + 1):
-                converted = sum(
-                    (-1) ** k * comb(n - 1 + k, n - m + k) * comb(2 * n - m, n - m - k)
-                    * inner(n - m + k, k)
-                    for k in range(n - m + 1)
-                )
-                check({"n": n, "m": m}, converted, outer(n, m))
+                check({"n": n, "m": m}, naive_conversion(inner, n, m), outer(n, m))
     elif identity in (IdentityId.ORTHOGONALITY_3, IdentityId.ORTHOGONALITY_4):
         for j in range(top + 1):
             for k in range(top + 1):
@@ -430,3 +437,27 @@ def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta, top)
             IdentityId.BASIS_POLY_11, IdentityId.RESIDUAL_13,
         ):
             assert found, report.id
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+def test_every_fault_position_reads_as_the_naive_sums_see_it(kind):
+    # a +1 fault at every entry up to row 2top-1, one row past the last one
+    # any sweep reads (2top-2): each sweep and each point conversion must see
+    # it exactly where the public value() does, and a fault in rows 0..top
+    # must fail some report
+    top = 6
+    for n in range(2 * top):
+        for m in range(n + 1):
+            faulty = PerturbedCalculator(kind, n, m)
+            reports = run_all(top, faulty)
+            for report in reports:
+                found = [(ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+                assert found == naive_counterexamples(report.id, top, faulty), (n, m, report.id)
+            if n <= top:
+                assert not all(report.passed for report in reports), (n, m)
+            s, S = partial(faulty.value, FIRST), partial(faulty.value, SECOND)
+            for j in range(1, top + 1):
+                for k in range(1, j + 1):
+                    where = (n, m, j, k)
+                    assert faulty.first_from_second(j, k) == naive_conversion(S, j, k), where
+                    assert faulty.second_from_first(j, k) == naive_conversion(s, j, k), where
