@@ -17,22 +17,21 @@ Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
 come from :meth:`StirlingCalculator.row`, which fills the memo: triangles read
 them there, the sweeps fetch each row they need once, and every row of the
-products s·S and S·s comes from one function, ``_product``. The eq1/eq2
-sweeps up to N read source diagonals 0..N-1, entries (d + k, k) with k <= d,
-which reach row 2N - 2, and a conversion at (n, m) reads diagonal n - m the
-same way, with N = n - m + 1. Rows 0..N-1 come through ``row()`` and rows
-N..2N-2 are walked as a band that drops its left column at every row and is
-stored nowhere, so the memo holds no row past N and ``row()`` is never asked
-for one past the index cap.
-A point query, :meth:`StirlingCalculator.value`, reads row n if the memo
-holds it; otherwise it walks up from the memo's last row through only the
-columns that reach (n, m), storing nothing, so it runs in
+products s·S and S·s comes from one function, ``_product``. Everything else
+is read off a band, ``_band``: the rows from a start row up to (n, m), each
+kept only in the columns that reach (n, m) and stored nowhere. A point query,
+:meth:`StirlingCalculator.value`, reads row n if the memo holds it;
+otherwise it walks the band up from the memo's last row, in
 O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
 the memo last grew have cost as many steps as the missing rows, the query
 fills them instead: one query stays a walk, and many on one calculator cost
-at most about twice the rows they read. The walk, the band and the row fill
-take the same step, ``_next_row``, and every read hands its entries out
-through one hook, ``_seen``, which is where a fault is injected.
+at most about twice the rows they read. The eq1/eq2 sweeps up to N read
+source diagonals 0..N-1, entries (d + k, k) with k <= d, off the band from
+row 0 to (2N - 2, N - 1), and a conversion at (n, m) reads diagonal
+d = n - m alone off the band to (2d, d), so neither stores a source row.
+The band and the row fill take the same step, ``_next_row``, and every read
+hands its entries out through one hook, ``_seen``, which is where a fault is
+injected.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -45,7 +44,7 @@ import threading
 from dataclasses import dataclass
 from itertools import repeat, zip_longest
 from math import comb
-from operator import add, getitem, mul, sub
+from operator import add, mul, sub
 
 from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
 
@@ -112,16 +111,20 @@ def _next_row(kind: StirlingKind, prev: tuple, n: int, lo: int = 0) -> tuple:
     return (0, *map(add, prev, map(mul, weights, prev[1:])), prev[-1])
 
 
-def _walk(kind: StirlingKind, row: tuple, h: int, n: int, m: int) -> int:
-    # entry (n, m) from row h < n, keeping of row k only the columns that reach
-    # (n, m), max(0, m-(n-k))..min(k, m): at most min(m, n-m) + 1 entries
+def _band(kind: StirlingKind, row: tuple, h: int, n: int, m: int):
+    # rows h..n of a stored kind from its row h, keeping of row k only the
+    # columns that reach (n, m): yields (k, lo, columns lo..min(k, m) of row k)
+    # with lo = max(0, m-(n-k)), at most min(m, n-m) + 1 entries once k >= m.
+    # Each row is stepped from the one yielded before it, never from a copy a
+    # reader patched, so a fault cannot spread.
     lo = max(0, m - (n - h))
     band = row[lo:m + 1]
-    for k in range(h, n):
-        next_lo = max(0, m - (n - k - 1))
-        band = _next_row(kind, band, k, lo)[next_lo - lo:m + 1 - lo]
-        lo = next_lo
-    return band[0]
+    for k in range(h, n + 1):
+        if k > h:
+            next_lo = max(0, m - (n - k))
+            band = _next_row(kind, band, k - 1, lo)[next_lo - lo:m + 1 - lo]
+            lo = next_lo
+        yield k, lo, band
 
 
 class StirlingCalculator:
@@ -172,7 +175,9 @@ class StirlingCalculator:
             walked = self._walked[kind] + (n - h) * (min(m, n - m) + 1)
             if walked <= (n - h) * (n + h + 3) // 2:
                 self._walked[kind] = walked
-                return self._seen(kind, n, m, (_walk(kind, rows[h], h, n, m),))[0]
+                for _, _, band in _band(kind, rows[h], h, n, m):
+                    pass
+                return self._seen(kind, n, m, band)[0]
             self._grow(rows, kind, n)
         return self._seen(kind, n, m, rows[n][m:m + 1])[0]
 
@@ -193,26 +198,20 @@ class StirlingCalculator:
 
     def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         # columns lo.. of row n of a stored kind as every read hands them out:
-        # row(), the memo read and the walk of value(), and the walked rows of
-        # _diagonals. The memo, the walks and the band keep the rows as built.
+        # row(), value()'s memo read and band, and the band rows that
+        # _diagonals and _convert read. The memo and the bands keep rows as built.
         return entries
 
     def _diagonals(self, kind: StirlingKind, top: int) -> list:
         # diagonals 0..top-1 of a stored kind, diagonal d the entries (d + k, k)
-        # for k = 0..d. Rows 0..top-1 come through row(); rows top..2top-2 are
-        # walked as the band of columns r-top+1..top-1 that reaches them, its
-        # left column and right flank dropped at every row, and stored nowhere.
-        # The band starts from the memo's row, never a patched copy, so a fault
-        # cannot spread. On row r, band index i is column r-top+1+i on diagonal
-        # top-1-i, read while that column k <= d.
-        rows = _read_rows(self, kind, top - 1)
-        diagonals = [list(map(getitem, rows[d:], range(d + 1))) for d in range(top)]
-        band = self._rows[kind][top - 1] if top else ()
-        for r in range(top, 2 * top - 1):
-            band = _next_row(kind, band, r - 1, r - top)[1:-1]
-            seen = self._seen(kind, r, r - top + 1, band)
-            for i in range(top - (r + 1) // 2):
-                diagonals[top - 1 - i].append(seen[i])
+        # for k = 0..d, stored nowhere but here. They reach row 2top-2 through
+        # the band to (2top-2, top-1): rows 0..top-1 whole, then one column
+        # fewer on the left at every row. Column c of row r lies on diagonal
+        # r-c and is read while c <= r-c, so diagonals r-lo down to ceil(r/2).
+        diagonals = [[] for _ in range(top)]
+        for r, lo, band in _band(kind, (1,), 0, 2 * top - 2, top - 1):
+            for d, entry in zip(range(r - lo, (r - 1) // 2, -1), self._seen(kind, r, lo, band)):
+                diagonals[d].append(entry)
         return diagonals
 
     def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
@@ -257,7 +256,10 @@ class StirlingCalculator:
         d = n - m
         column = [(-1) ** (m - 1) * comb(n - 1 + k, m - 1) for k in range(d + 1)]
         row = [(-1) ** (d - k) * comb(n + d, d - k) for k in range(d + 1)]
-        return _conversion_sum(n, column, row, self._diagonals(source, d + 1)[d])
+        # diagonal d is column 0 of rows d..2d of the band to (2d, d)
+        diagonal = [self._seen(source, k, lo, band)[0]
+                    for k, lo, band in _band(source, (1,), 0, 2 * d, d) if k >= d]
+        return _conversion_sum(n, column, row, diagonal)
 
 
 class PerturbedCalculator(StirlingCalculator):
@@ -265,10 +267,10 @@ class PerturbedCalculator(StirlingCalculator):
 
     The fault lives in one hook, ``_seen``, which every read goes through:
     the copy of its row handed out by :meth:`row`, the entry :meth:`value`
-    reads, whether from the memo or by a walk past it, and the walked
-    diagonals that the eq1/eq2 sweeps and the conversions read. The memoized
-    row stays pristine, so rows built later by the recurrence, and walks and
-    bands that start from it, are the healthy ones and the fault never
+    reads, whether from the memo or off a band walked past it, and each band
+    row that the eq1/eq2 sweeps and the conversions read their source
+    diagonals from. The memo and the bands keep their rows as built, so rows
+    built later by the recurrence are the healthy ones and the fault never
     spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
@@ -326,14 +328,9 @@ def _product(calc: StirlingCalculator, outer: StirlingKind, inner: StirlingKind,
              top: int, first: int = 0) -> list:
     # rows first..top of outer·inner, from the columns of inner rows 0..top: entry
     # (m, k) = sum_{l=k}^{m} outer(m, l) inner(l, k), k = 0..m (zero past m)
-    columns = _columns(_read_rows(calc, inner, top), top + 1)
+    columns = _columns([calc.row(inner, n) for n in range(top + 1)], top + 1)
     rows = (calc.row(outer, m) for m in range(first, top + 1))
     return [[sum(map(mul, row[k:], columns[k])) for k in range(len(row))] for row in rows]
-
-
-def _read_rows(calc: StirlingCalculator, kind: StirlingKind, top: int) -> list:
-    # rows 0..top of a stored kind, each read once through calc.row
-    return [calc.row(kind, n) for n in range(top + 1)]
 
 
 _SHARED = StirlingCalculator()

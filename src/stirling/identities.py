@@ -34,8 +34,8 @@ names. A sweep reads each row once and builds what its sums share once: inner
 row sums or columns, eq1/eq2's Pascal table and source diagonals, or the rows
 of s·S or S·s from ``engine._product``, which the polynomial builders use
 too. Each inner sum is then one dot product of plain ints. The source
-diagonals reach row 2N - 2, but the calculator walks rows N..2N-2 of them as
-a band, so the sweep stores no source row past N - 1.
+diagonals reach row 2N - 2, but the calculator walks them as a band from
+row 0, so the sweep stores no source row.
 """
 
 import enum
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
-from .engine import _SHARED, _read_rows
+from .engine import _SHARED
 from .exact import check_index
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -162,7 +162,7 @@ def _check(relation, name, outer, inner, index, calc):
     check_index(index, calc.index_cap, name)
     if index < start:
         raise ValueError(f"{name} must be at least {start}, got {index}")
-    rows = _read_rows(calc, inner, index)
+    rows = [calc.row(inner, n) for n in range(index + 1)]
     return evaluate(calc.row(outer, index), rows[index], table(rows))
 
 
@@ -240,7 +240,7 @@ def _sweep_rows(relation, name, outer, inner):
     evaluate, table, start = relation
 
     def sweep(max_index, calc):
-        rows = _read_rows(calc, inner, max_index)
+        rows = [calc.row(inner, n) for n in range(max_index + 1)]
         hoisted = table(rows)
         for index in range(start, max_index + 1):
             lhs, rhs = evaluate(calc.row(outer, index), rows[index], hoisted)

@@ -478,12 +478,16 @@ def _limit_address_space():
     (["value", "--kind", "second", "3000", "1"], EXIT_OK, "1\n"),
     (["value", "--kind", "first", "3000", "2999"], EXIT_OK, "-4498500\n"),
     (["value", "--kind", "first-unsigned", "3000", "1"], EXIT_OK, f"{factorial(2999)}\n"),
+    (["convert", "--direction", "s1-from-s2", "1000", "1"], EXIT_OK,
+     f"value: {-factorial(999)}\nrecurrence: {-factorial(999)}\nagree: yes\n"),
+    (["convert", "--direction", "s2-from-s1", "1000", "1"], EXIT_OK,
+     "value: 1\nrecurrence: 1\nagree: yes\n"),
     (["triangle", "--kind", "second", "--rows", "3000", "--format", "csv"], EXIT_LIMIT, ""),
-], ids=["second", "first", "first-unsigned", "triangle"])
+], ids=["second", "first", "first-unsigned", "s1-from-s2", "s2-from-s1", "triangle"])
 def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, out):
-    # a point query walks one band of columns and stores no row, so it
-    # finishes in 400 MiB; a whole triangle of 3000 rows cannot, and must
-    # say so in one line with exit 3, not a traceback with exit 1
+    # a point query or conversion walks one band of columns and stores no
+    # row, so it finishes in 400 MiB; a whole triangle of 3000 rows cannot,
+    # and must say so in one line with exit 3, not a traceback with exit 1
     proc = subprocess.run(
         [sys.executable, "-m", "stirling.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)),

@@ -15,8 +15,8 @@ from stirling.engine import (
     StirlingCalculator,
     StirlingKind,
     Triangle,
+    _band,
     _pascal,
-    _walk,
     build_triangle,
     first_from_second,
     second_from_first,
@@ -74,19 +74,26 @@ def test_second_kind_rows_match_the_explicit_sum():
 
 
 def test_walks_past_the_memo_match_whole_rows():
-    # the walk keeps of each row from horizon h up only the band of columns
-    # that reaches (n, m); it must end on the entry of the whole row n
+    # the band from horizon h keeps of each row k only the columns that reach
+    # (n, m); every row it yields must be that slice of the whole row k, and
+    # the last one the entry (n, m) alone
     rng = random.Random(8)
     first_rows = falling_factorial_rows(300)
     whole = StirlingCalculator()
     for n in (300, 1, *rng.sample(range(2, 300), 4)):
         for h in (0, rng.randrange(n), n - 1):
             for m in sorted({0, 1, n // 2, n - 1, n, rng.randint(0, n)}):
-                first = _walk(FIRST, whole.row(FIRST, h), h, n, m)
-                second = _walk(SECOND, whole.row(SECOND, h), h, n, m)
-                assert first == first_rows[n][m] == whole.row(FIRST, n)[m], (n, m, h)
-                assert second == whole.row(SECOND, n)[m], (n, m, h)
-                assert factorial(m) * second == factorial_times_second(n, m), (n, m, h)
+                entry = {}
+                for kind in (FIRST, SECOND):
+                    steps = list(_band(kind, whole.row(kind, h), h, n, m))
+                    assert [k for k, _, _ in steps] == list(range(h, n + 1)), (n, m, h)
+                    for k, lo, band in steps:
+                        assert lo == max(0, m - (n - k)), (kind, n, m, h, k)
+                        assert band == whole.row(kind, k)[lo:min(k, m) + 1], (kind, n, m, h, k)
+                    assert steps[-1][2] == (whole.row(kind, n)[m],), (kind, n, m, h)
+                    entry[kind] = steps[-1][2][0]
+                assert entry[FIRST] == first_rows[n][m], (n, m, h)
+                assert factorial(m) * entry[SECOND] == factorial_times_second(n, m), (n, m, h)
 
 
 def test_a_point_query_walks_and_repeated_ones_grow_the_memo():
@@ -348,24 +355,25 @@ def test_row_index_is_a_non_negative_int(make, kind):
     (StirlingCalculator.first_from_second, SECOND, FIRST),
     (StirlingCalculator.second_from_first, FIRST, SECOND),
 ], ids=["s1-from-s2", "s2-from-s1"])
-def test_conversions_reach_rows_beyond_requested_n(convert, source, target):
+def test_conversions_store_no_source_row(convert, source, target):
     # the alternating sum at (n, m) reads source entries up to row 2(n - m),
-    # past the index cap, but only rows 0..n-m go into the memo; the rest are
-    # walked as a band
-    calc = StirlingCalculator(index_cap=40)
-    assert convert(calc, 40, 1) == calc.value(target, 40, 1)
-    assert len(calc._rows[source]) == 40
+    # past the index cap when m = 1, all off a band that is stored nowhere:
+    # the source memo keeps only row 0
+    for m in (1, 20, 40):
+        calc = StirlingCalculator(index_cap=40)
+        assert convert(calc, 40, m) == calc.value(target, 40, m)
+        assert len(calc._rows[source]) == 1, m
 
 
 @pytest.mark.parametrize("identity, source", [
     (IdentityId.CONVERSION_1, SECOND), (IdentityId.CONVERSION_2, FIRST),
 ])
-def test_conversion_sweeps_store_no_source_row_past_the_bound(identity, source):
-    # the sweep up to N reads source rows up to 2N - 2, but only rows 0..N-1
-    # go into the memo; the rest are walked as a band
+def test_conversion_sweeps_store_no_source_row(identity, source):
+    # the sweep up to N reads source rows up to 2N - 2, all off a band that is
+    # stored nowhere: the source memo keeps only row 0
     calc = StirlingCalculator()
     assert run_identity(identity, 30, calc).passed
-    assert len(calc._rows[source]) == 30
+    assert len(calc._rows[source]) == 1
 
 
 def test_triangle_rejects_ragged_rows():
