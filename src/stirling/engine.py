@@ -18,20 +18,24 @@ no synchronization once a row exists. Entries are read two ways. Whole rows
 come from :meth:`StirlingCalculator.row`, which fills the memo: triangles read
 them there, the sweeps fetch each row they need once, and every row of the
 products s·S and S·s comes from one function, ``_product``. Everything else
-is read off a band, ``_band``: the rows from a start row up to (n, m), each
-kept only in the columns that reach (n, m) and stored nowhere. A point query,
-:meth:`StirlingCalculator.value`, reads row n if the memo holds it;
-otherwise it walks the band up from the memo's last row, in
-O((n - h) min(m, n - m)) steps and one band of memory. Once the walks since
-the memo last grew have cost as many steps as the missing rows, the query
-fills them instead: one query stays a walk, and many on one calculator cost
-at most about twice the rows they read. The eq1/eq2 sweeps up to N read
-source diagonals 0..N-1, entries (d + k, k) with k <= d, off the band from
-row 0 to (2N - 2, N - 1), and a conversion at (n, m) reads diagonal
-d = n - m alone off the band to (2d, d), so neither stores a source row.
-The band and the row fill take the same step, ``_next_row``, and every read
-hands its entries out through one hook, ``_seen``, which is where a fault is
-injected.
+but some second-kind point queries is read off a band, ``_band``: the rows
+from a start row up to (n, m), each kept only in the columns that reach
+(n, m) and stored nowhere. A point query,
+:meth:`StirlingCalculator.value`, reads row n if the memo holds it.
+Otherwise it walks the band up from the memo's last row h, in
+(n - h)(min(m, n - m) + 1) steps and one band of memory, except that a
+second-kind entry whose walk would cost more than its m + 1 powers is the
+explicit sum S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n / m!, ``_second_kind_sum``,
+so such a query costs the cheaper of the two. Either way the query is
+charged the walk's steps, and once those charges since the memo last grew
+add up to the missing rows, the query fills them instead: one query stores
+nothing, and many on one calculator cost at most about twice the rows they
+read. The eq1/eq2 sweeps up to N read source diagonals 0..N-1, entries
+(d + k, k) with k <= d, off the band from row 0 to (2N - 2, N - 1), and a
+conversion at (n, m) reads diagonal d = n - m alone off the band to (2d, d),
+so neither stores a source row. The band and the row fill take the same
+step, ``_next_row``, and every read, the explicit sum's too, hands its
+entries out through one hook, ``_seen``, which is where a fault is injected.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -42,8 +46,8 @@ whole-triangle consistency check.
 import enum
 import threading
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
-from math import comb
+from itertools import accumulate, repeat, zip_longest
+from math import comb, factorial
 from operator import add, mul, sub
 
 from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
@@ -76,13 +80,16 @@ class Triangle:
     def __post_init__(self):
         if not isinstance(self.kind, StirlingKind):
             raise TypeError(f"kind must be a StirlingKind, got {self.kind!r}")
-        # one pass: a second one over the unsigned view's fresh entries misses the cache
+        # one pass over the rows, each checked while the unsigned view's fresh
+        # entries are in cache: a row's types in one C-level pass, and only a row
+        # that fails it entry by entry, so the rule and its message are check_int's
         rows = []
         for n, row in enumerate(map(tuple, self.rows)):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-            for v in row:
-                check_int(v, "triangle entry")
+            if not set(map(type, row)) <= {int}:
+                for v in row:
+                    check_int(v, "triangle entry")
             rows.append(row)
         object.__setattr__(self, "rows", tuple(rows))
 
@@ -149,8 +156,11 @@ class StirlingCalculator:
     def value(self, kind: StirlingKind, n: int, m: int) -> int:
         """Stirling number of the given kind at (n, m); zero outside the
         triangle. Read from row n if the memo holds it, else walked to from
-        the memo's last row without storing one; once such walks have cost
-        as much as the missing rows would, those rows are stored instead."""
+        the memo's last row without storing one, or, for the second kind
+        where that walk costs more than m + 1 powers, summed explicitly as
+        sum_j (-1)^(m-j) C(m, j) j^n / m!. Once such reads have been charged
+        as many walk steps as the missing rows hold, those rows are stored
+        instead."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if kind is not StirlingKind.FIRST_UNSIGNED:
@@ -172,9 +182,18 @@ class StirlingCalculator:
             return 0
         h = len(rows) - 1
         if n > h:
-            walked = self._walked[kind] + (n - h) * (min(m, n - m) + 1)
+            steps = (n - h) * (min(m, n - m) + 1)
+            walked = self._walked[kind] + steps
             if walked <= (n - h) * (n + h + 3) // 2:
                 self._walked[kind] = walked
+                # a second-kind entry costs m + 1 powers j^n by the explicit sum.
+                # Timed against walks from horizons 0 to 7n/8, a power cost as
+                # much as about 64 band steps at n = 512 and 250-375 at n = 2000
+                # to 3000, where pow outgrows a step's add; at n <= 128, where a
+                # step's overhead dominates, the sum won from a few steps. So a
+                # power counts max(8, n // 8) steps; the floor keeps n <= 8 walking.
+                if kind is StirlingKind.SECOND and max(8, n // 8) * (m + 1) < steps:
+                    return self._seen(kind, n, m, (_second_kind_sum(n, m),))[0]
                 for _, _, band in _band(kind, rows[h], h, n, m):
                     pass
                 return self._seen(kind, n, m, band)[0]
@@ -198,8 +217,9 @@ class StirlingCalculator:
 
     def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         # columns lo.. of row n of a stored kind as every read hands them out:
-        # row(), value()'s memo read and band, and the band rows that
-        # _diagonals and _convert read. The memo and the bands keep rows as built.
+        # row(), value()'s memo read, band and explicit sum, and the band rows
+        # that _diagonals and _convert read. The memo and the bands keep rows
+        # as built.
         return entries
 
     def _diagonals(self, kind: StirlingKind, top: int) -> list:
@@ -267,11 +287,11 @@ class PerturbedCalculator(StirlingCalculator):
 
     The fault lives in one hook, ``_seen``, which every read goes through:
     the copy of its row handed out by :meth:`row`, the entry :meth:`value`
-    reads, whether from the memo or off a band walked past it, and each band
-    row that the eq1/eq2 sweeps and the conversions read their source
-    diagonals from. The memo and the bands keep their rows as built, so rows
-    built later by the recurrence are the healthy ones and the fault never
-    spreads past its own entry.
+    reads, whether from the memo, off a band walked past it or from the
+    second kind's explicit sum, and each band row that the eq1/eq2 sweeps
+    and the conversions read their source diagonals from. The memo and the
+    bands keep their rows as built, so rows built later by the recurrence
+    are the healthy ones and the fault never spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -306,6 +326,13 @@ def _conversion_sum(n: int, column, row, diagonal) -> int:
     # as in _pascal they carry (-1)^(m-1) (-1)^(d-k) = (-1)^k (-1)^(n-1).
     total = sum(map(mul, map(mul, column, row), diagonal))
     return total if n % 2 else -total
+
+
+def _second_kind_sum(n: int, m: int) -> int:
+    # S(n, m) = sum_{j=0}^{m} (-1)^(m-j) C(m, j) j^n / m!, exactly: m + 1 powers,
+    # each signed binomial stepped from the one before it
+    binomials = accumulate(range(1, m + 1), lambda c, j: -c * (m + 1 - j) // j, initial=(-1) ** m)
+    return sum(map(mul, binomials, map(pow, range(m + 1), repeat(n)))) // factorial(m)
 
 
 def _pascal(top: int) -> list:

@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from stirling import engine
 from stirling.engine import (
     PerturbedCalculator,
     StirlingCalculator,
@@ -128,6 +129,72 @@ def test_perturbed_offset_shows_through_a_walk_and_a_memo_read():
     # once row 300 is memoized the offset is applied once, not twice
     assert fault.row(SECOND, 300)[7] == healthy.row(SECOND, 300)[7] + 1
     assert fault.value(SECOND, 300, 7) == healthy.row(SECOND, 300)[7] + 1
+
+
+def summed_queries(monkeypatch):
+    # record the (n, m) of every second-kind query value() answers by the
+    # explicit sum rather than by a band walk
+    summed = []
+    explicit_sum = engine._second_kind_sum
+
+    def recording(n, m):
+        summed.append((n, m))
+        return explicit_sum(n, m)
+
+    monkeypatch.setattr(engine, "_second_kind_sum", recording)
+    return summed
+
+
+@pytest.mark.parametrize("n", [20, 64, 200, 300, 512])
+def test_second_kind_point_queries_past_the_memo_match_whole_rows(n, monkeypatch):
+    whole = StirlingCalculator().row(SECOND, n)
+    summed = summed_queries(monkeypatch)
+    for h in sorted({0, n // 2, n - 1}):
+        calc = StirlingCalculator()
+        calc.row(SECOND, h)
+        for m in range(n + 1):
+            calc._walked[SECOND] = 0  # each query stays off the memo
+            assert calc.value(SECOND, n, m) == whole[m], (n, h, m)
+        assert len(calc._rows[SECOND]) == h + 1
+    # the cost rule sums small m far from the memo and walks the narrow bands
+    # next to the diagonal
+    assert {(n, m) for m in range(7)} <= set(summed)
+    assert not {(n, m) for m in range(n - 2, n + 1)} & set(summed)
+    if n == 20:
+        # the crossover: m = 0..14 from h = 0, m = 0..11 from h = 10, none from h = 19
+        assert summed == [(20, m) for m in range(15)] + [(20, m) for m in range(12)]
+
+
+def test_the_explicit_sum_serves_the_second_kind_alone(monkeypatch):
+    rows = {kind: StirlingCalculator().row(kind, 454) for kind in (FIRST, SECOND)}
+
+    def no_band(*args):
+        raise AssertionError("walked a band")
+
+    monkeypatch.setattr(engine, "_band", no_band)
+    for h in (0, 100):
+        calc = StirlingCalculator()
+        calc.row(SECOND, h)
+        assert calc.value(SECOND, 454, 133) == rows[SECOND][133]
+        # charged exactly the steps the walk would have taken
+        assert calc._walked[SECOND] == (454 - h) * (133 + 1)
+        assert len(calc._rows[SECOND]) == h + 1
+    monkeypatch.undo()
+    summed = summed_queries(monkeypatch)
+    calc = StirlingCalculator()
+    assert calc.value(FIRST, 454, 133) == rows[FIRST][133]
+    assert calc.value(UNSIGNED, 454, 133) == abs(rows[FIRST][133])
+    assert summed == []
+
+
+def test_perturbed_offset_shows_through_the_explicit_sum(monkeypatch):
+    healthy = StirlingCalculator()
+    expected = {(n, m): healthy.row(SECOND, n)[m] for n, m in ((400, 100), (400, 99), (401, 100))}
+    expected[400, 100] += 5
+    summed = summed_queries(monkeypatch)
+    for (n, m), value in expected.items():
+        assert PerturbedCalculator(SECOND, 400, 100, 5).value(SECOND, n, m) == value, (n, m)
+    assert summed == list(expected)
 
 
 def test_special_value_columns():
