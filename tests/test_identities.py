@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+import stirling.identities as identities
 from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind
 from stirling.exact import IndexLimitError, dump_json
 from stirling.identities import (
@@ -253,6 +254,53 @@ def test_orthogonality_sweeps_agree_with_the_scalar_check(kind, n, m, delta):
         found = [(ce.indices["j"], ce.indices["k"], ce.lhs) for ce in report.counterexamples]
         assert found == mismatches, identity
         assert all(type(ce.lhs) is int for ce in report.counterexamples)
+
+
+def _fresh(fault):
+    return StirlingCalculator() if fault is None else PerturbedCalculator(*fault[:3], delta=fault[3])
+
+
+@pytest.mark.parametrize("top", [12, 24])
+@pytest.mark.parametrize("fault", [None, *SWEEP_FAULTS])
+def test_run_all_reports_what_each_identity_reports_alone(fault, top):
+    # run_all hands each product to three sweeps; each must still read what it
+    # reads when run alone on a calculator of its own, the fault included
+    for report in run_all(top, _fresh(fault)):
+        alone = run_identity(report.id, top, _fresh(fault))
+        assert (report.id, report.range, report.counterexamples) == (
+            alone.id, alone.range, alone.counterexamples), report.id
+
+
+@pytest.mark.parametrize("make", [StirlingCalculator, partial(PerturbedCalculator, SECOND, 5, 2)],
+                         ids=["healthy", "perturbed"])
+def test_each_call_builds_only_the_products_it_reads(monkeypatch, make):
+    built = []
+    product = identities._product
+
+    def counted(calc, outer, inner, top, first=0):
+        built.append((outer, inner))
+        return product(calc, outer, inner, top, first)
+
+    monkeypatch.setattr(identities, "_product", counted)
+    calc = make()
+    # S·s for eq3, then s·S for eq4; a second call on the same calculator
+    # builds both again, so no product outlives its call
+    for _ in range(2):
+        built.clear()
+        run_all(12, calc)
+        assert built == [(SECOND, FIRST), (FIRST, SECOND)]
+    readers = {
+        IdentityId.ORTHOGONALITY_3: (SECOND, FIRST),
+        IdentityId.BASIS_POLY_12: (SECOND, FIRST),
+        IdentityId.RESIDUAL_15: (SECOND, FIRST),
+        IdentityId.ORTHOGONALITY_4: (FIRST, SECOND),
+        IdentityId.BASIS_POLY_11: (FIRST, SECOND),
+        IdentityId.RESIDUAL_13: (FIRST, SECOND),
+    }
+    for identity in IdentityId:
+        built.clear()
+        run_identity(identity, 12, calc)
+        assert built == ([readers[identity]] if identity in readers else []), identity
 
 
 def test_report_json_schema_and_round_trip():
