@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import zip_longest
 
 from .engine import PerturbedCalculator, StirlingCalculator, StirlingKind
 from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, check_index, check_limit, dump_json
@@ -133,17 +134,10 @@ def _limit(value, env_name: str, default: int, what: str) -> int:
     return check_limit(value, what)
 
 
-def _render_table(rows, align_right=True) -> str:
-    widths = {}
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths.get(i, 0), len(cell))
-    pad = str.rjust if align_right else str.ljust
-    lines = []
-    for row in rows:
-        cells = [pad(cell, widths[i]) for i, cell in enumerate(row)]
-        lines.append(" ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+def _render_table(rows) -> str:
+    # rows of equal length, each column left-aligned to its widest cell
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(" ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
 
 
 def _cmd_triangle(args, calc) -> int:
@@ -154,7 +148,13 @@ def _cmd_triangle(args, calc) -> int:
     elif args.format == "json":
         print(triangle.to_json())
     else:
-        sys.stdout.write(_render_table(triangle.to_lists()))
+        # columns right-aligned to their widest cells, all in the last two rows:
+        # |s(n, m)| and S(n, m) never decrease down column m >= 1, a minus sign
+        # shows only on alternate rows and column 0 is 1 wide; so rows stream
+        widths = [max(len(str(v)) for v in column)
+                  for column in zip_longest(*triangle.rows[-2:], fillvalue=0)]
+        for row in triangle.rows:
+            sys.stdout.write(" ".join(map(str.rjust, map(str, row), widths)) + "\n")
     return EXIT_OK
 
 
@@ -230,7 +230,7 @@ def _cmd_verify(args, calc) -> int:
             payload = reports[0].to_json_data()
         print(dump_json(payload))
     else:
-        sys.stdout.write(_render_table(_report_rows(reports), align_right=False))
+        sys.stdout.write(_render_table(_report_rows(reports)))
         for report in reports:
             if not report.passed:
                 _print_counterexamples(report)

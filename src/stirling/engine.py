@@ -91,6 +91,8 @@ class Triangle:
                 for v in row:
                     check_int(v, "triangle entry")
             rows.append(row)
+        if not rows:
+            raise ValueError("a triangle needs at least row 0")
         object.__setattr__(self, "rows", tuple(rows))
 
     def __repr__(self):
@@ -100,12 +102,9 @@ class Triangle:
         """Ragged comma-separated exact decimals, one row per line, no header."""
         return "\n".join(",".join(str(v) for v in row) for row in self.rows) + "\n"
 
-    def to_lists(self) -> list:
-        """Rows as lists of exact decimal strings (the JSON shape)."""
-        return [[str(v) for v in row] for row in self.rows]
-
     def to_json(self) -> str:
-        return dump_json(self.to_lists())
+        """Rows as a JSON array of arrays of exact decimal strings."""
+        return dump_json([[str(v) for v in row] for row in self.rows])
 
 
 def _next_row(kind: StirlingKind, prev: tuple, n: int, lo: int = 0) -> tuple:

@@ -76,6 +76,29 @@ def test_triangle_table_pads_columns(capsys):
     )
 
 
+def _table_sized_over_every_cell(rows):
+    # each column right-aligned to the widest of all its cells
+    cells = [[str(v) for v in row] for row in rows]
+    widths = {}
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths.get(i, 0), len(cell))
+    return "".join(
+        " ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n"
+        for row in cells
+    )
+
+
+@pytest.mark.parametrize("kind", ["first", "first-unsigned", "second"])
+def test_triangle_table_columns_are_as_wide_as_their_widest_cell(capsys, kind):
+    # the table sizes its columns from its last two rows alone, which must
+    # give every column the width of its widest cell at every size
+    rows = StirlingCalculator().triangle(StirlingKind(kind), 120).rows
+    for n in range(121):
+        assert run(["triangle", "--kind", kind, "--rows", str(n)]) == EXIT_OK
+        assert capsys.readouterr().out == _table_sized_over_every_cell(rows[:n + 1])
+
+
 def test_triangle_json_round_trips(capsys):
     assert run(["triangle", "--kind", "second", "--rows", "5", "--format", "json"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -499,3 +522,28 @@ def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, ou
     assert (proc.returncode, proc.stdout) == (code, out)
     if code == EXIT_LIMIT:
         assert proc.stderr == "stirling: out of memory for this request\n"
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+def test_the_table_format_writes_600_rows_under_a_memory_limit(tmp_path):
+    # the table is written row by row, so the command holds the memo and one
+    # row's text, not the whole table; stdout goes to a file, read back a line
+    # at a time, so neither process holds the 155 MB of text
+    table = tmp_path / "table.txt"
+    with table.open("w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stirling.cli", "triangle", "--kind", "second", "--rows", "600"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=_limit_address_space,
+            timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    with table.open() as lines:
+        for count, last in enumerate(lines, 1):
+            pass
+    table.unlink()
+    assert count == 601
+    assert last.split() == [str(v) for v in StirlingCalculator().row(StirlingKind.SECOND, 600)]

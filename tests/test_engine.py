@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from stirling import engine
 from stirling.engine import (
@@ -446,6 +447,8 @@ def test_conversion_sweeps_store_no_source_row(identity, source):
 def test_triangle_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Triangle(SECOND, [(1,), (0, 1, 9)])
+    with pytest.raises(ValueError, match="row 0"):
+        Triangle(SECOND, [])
 
 
 @pytest.mark.parametrize("rows", [[(1.9,)], [(1,), (0, True)], [("1",)]])
@@ -564,6 +567,57 @@ def test_perturbed_calculator_offsets_exactly_one_entry():
     assert column_zero.row(FIRST, 1) == (1, 1)
     assert column_zero.value(FIRST, 1, 0) == 1
     assert column_zero.row(FIRST, 2) == healthy.row(FIRST, 2)
+
+
+_INDICES = strategies.integers(0, 12)
+_READS = strategies.one_of(
+    strategies.tuples(strategies.just("value"), strategies.sampled_from(StirlingKind),
+                      _INDICES, _INDICES),
+    strategies.tuples(strategies.just("row"), strategies.sampled_from([FIRST, SECOND]), _INDICES),
+    strategies.tuples(strategies.just("triangle"), strategies.sampled_from(StirlingKind), _INDICES),
+    strategies.integers(1, 12).flatmap(lambda n: strategies.tuples(
+        strategies.sampled_from(["first_from_second", "second_from_first"]),
+        strategies.just(n), strategies.integers(1, n))),
+)
+_FAULTS = strategies.none() | strategies.integers(0, 12).flatmap(lambda n: strategies.tuples(
+    strategies.sampled_from([FIRST, SECOND]), strategies.just(n), strategies.integers(0, n),
+    strategies.integers(-3, 3).filter(bool)))
+
+
+@settings(deadline=None)
+@given(_FAULTS, strategies.lists(_READS, max_size=25))
+def test_every_read_path_carries_the_fault_at_its_entry_alone(fault, reads):
+    # one calculator serves every read, so memo reads, walks from each memo
+    # height, explicit sums and growth mix in whatever order is drawn
+    def fresh():
+        return StirlingCalculator() if fault is None else PerturbedCalculator(*fault)
+
+    healthy = StirlingCalculator()
+
+    def expected(kind, n, m):
+        if m > n:
+            return 0
+        if kind is UNSIGNED:
+            return (-1) ** (n - m) * expected(FIRST, n, m)
+        offset = fault[3] if fault is not None and fault[:3] == (kind, n, m) else 0
+        return healthy.value(kind, n, m) + offset
+
+    def expected_row(kind, n):
+        return tuple(expected(kind, n, m) for m in range(n + 1))
+
+    calc = fresh()
+    for name, *args in reads:
+        result = getattr(calc, name)(*args)
+        assert result == getattr(fresh(), name)(*args)
+        if name == "value":
+            assert result == expected(*args)
+        elif name == "row":
+            assert result == expected_row(*args)
+        elif name == "triangle":
+            kind, top = args
+            assert result.rows == tuple(expected_row(kind, n) for n in range(top + 1))
+        if fault is not None:
+            assert calc.value(*fault[:3]) == expected(*fault[:3])
 
 
 def test_perturbed_calculator_argument_validation():
