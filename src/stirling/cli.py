@@ -278,7 +278,8 @@ def _cmd_convert(args, calc) -> int:
     else:
         convert, kind = calc.second_from_first, StirlingKind.SECOND
     converted = convert(args.n, args.m)
-    direct = calc.value(kind, args.n, args.m)
+    # value() may answer by this very sum: read by a route that excludes it
+    direct = calc._entry(kind, args.n, args.m, converts=False)
     agree = converted == direct
 
     if args.format == "json":

@@ -22,20 +22,23 @@ but some second-kind point queries is read off a band, ``_band``: the rows
 from a start row up to (n, m), each kept only in the columns that reach
 (n, m) and stored nowhere. A point query,
 :meth:`StirlingCalculator.value`, reads row n if the memo holds it.
-Otherwise it walks the band up from the memo's last row h, in
-(n - h)(min(m, n - m) + 1) steps and one band of memory, except that a
-second-kind entry whose walk would cost more than its m + 1 powers is the
-explicit sum S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n / m!, ``_second_kind_sum``,
-so such a query costs the cheaper of the two. Either way the query is
+Otherwise it takes the cheapest of three routes, each costed in band steps:
+the walk up the band from the memo's last row h, (n - h)(min(m, n - m) + 1)
+steps in one band of memory; for the second kind, the explicit sum
+S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n / m!, ``_second_kind_sum``, whose
+m + 1 powers count max(8, n // 8) steps each; and for n >= 32, eq1/eq2's
+sum over diagonal d = n - m of the other kind, ``_converted``, whose band
+to (2d, d) counts 2 (d + 1)^2. Whatever the route, the query is
 charged the walk's steps, and once those charges since the memo last grew
 add up to the missing rows, the query fills them instead: one query stores
 nothing, and many on one calculator cost at most about twice the rows they
 read. The eq1/eq2 sweeps up to N read source diagonals 0..N-1, entries
 (d + k, k) with k <= d, off the band from row 0 to (2N - 2, N - 1), and a
-conversion at (n, m) reads diagonal d = n - m alone off the band to (2d, d),
-so neither stores a source row. The band and the row fill take the same
-step, ``_next_row``, and every read, the explicit sum's too, hands its
-entries out through one hook, ``_seen``, which is where a fault is injected.
+conversion at (n, m) reads diagonal d alone off the band to (2d, d), so
+neither stores a source row. The band and the row fill take the same
+step, ``_next_row``, and every read hands its entries out through one
+hook, ``_seen``, which is where a fault is injected: a converted query
+hands out its one result there and reads its source diagonal as built.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -154,12 +157,13 @@ class StirlingCalculator:
 
     def value(self, kind: StirlingKind, n: int, m: int) -> int:
         """Stirling number of the given kind at (n, m); zero outside the
-        triangle. Read from row n if the memo holds it, else walked to from
-        the memo's last row without storing one, or, for the second kind
-        where that walk costs more than m + 1 powers, summed explicitly as
-        sum_j (-1)^(m-j) C(m, j) j^n / m!. Once such reads have been charged
-        as many walk steps as the missing rows hold, those rows are stored
-        instead."""
+        triangle. Read from row n if the memo holds it, else, storing no row,
+        by the cheapest of: the walk from the memo's last row h, costing
+        (n - h)(min(m, n - m) + 1) steps; for the second kind, the explicit
+        sum sum_j (-1)^(m-j) C(m, j) j^n / m!, costing max(8, n // 8)(m + 1);
+        and for n >= 32, the conversion from diagonal d = n - m of the other
+        kind, costing 2 (d + 1)^2. Once such reads have been charged as many
+        walk steps as the missing rows hold, those rows are stored instead."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if kind is not StirlingKind.FIRST_UNSIGNED:
@@ -167,13 +171,13 @@ class StirlingCalculator:
         signed = self._entry(StirlingKind.FIRST_SIGNED, n, m)
         return -signed if (n - m) % 2 else signed
 
-    def _entry(self, kind: StirlingKind, n: int, m: int) -> int:
+    def _entry(self, kind: StirlingKind, n: int, m: int, converts: bool = True) -> int:
         # entry (n, m) of a stored kind, zero when m > n: from the memo, or
-        # walked to from its last row h until the walks since the memo last
-        # grew would take more steps than rows h+1..n hold, and then grown. The
-        # walk takes no lock: rows only get appended, so row h stays row h while
-        # other threads grow the memo, and a lost update of the count only
-        # delays growth.
+        # off it by the cheapest route until the walks since the memo last grew
+        # would take more steps than rows h+1..n hold, and then grown. Without
+        # converts, no route is the conversion. The walk takes no lock: rows only
+        # get appended, so row h stays row h while other threads grow the memo,
+        # and a lost update of the count only delays growth.
         rows = self._rows.get(kind)
         if rows is None:
             _stored(kind)  # raises: the memo holds every stored kind
@@ -191,7 +195,16 @@ class StirlingCalculator:
                 # to 3000, where pow outgrows a step's add; at n <= 128, where a
                 # step's overhead dominates, the sum won from a few steps. So a
                 # power counts max(8, n // 8) steps; the floor keeps n <= 8 walking.
-                if kind is StirlingKind.SECOND and max(8, n // 8) * (m + 1) < steps:
+                summed = max(8, n // 8) * (m + 1) if kind is StirlingKind.SECOND else steps
+                # either kind's entry is also eq1/eq2's sum over diagonal d = n - m of
+                # the other kind, off the band to (2d, d). Timed against walks from
+                # row 0 for n = 128 to 2000, the first kind broke even at d = n/2 and
+                # the second at d = n/2.25 to n/2, so the conversion counts 2 (d + 1)^2
+                # steps. That tops every walk at m = 0; the floor keeps n < 32 off it.
+                if converts and n >= 32 and 2 * (n - m + 1) ** 2 < min(steps, summed):
+                    source, = self._rows.keys() - {kind}  # the other stored kind
+                    return self._seen(kind, n, m, (_converted(source, n, m),))[0]
+                if summed < steps:
                     return self._seen(kind, n, m, (_second_kind_sum(n, m),))[0]
                 for _, _, band in _band(kind, rows[h], h, n, m):
                     pass
@@ -216,9 +229,9 @@ class StirlingCalculator:
 
     def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         # columns lo.. of row n of a stored kind as every read hands them out:
-        # row(), value()'s memo read, band and explicit sum, and the band rows
-        # that _diagonals and _convert read. The memo and the bands keep rows
-        # as built.
+        # row(), value()'s memo read, band, explicit sum and conversion, and the
+        # band rows that _diagonals and _convert read. The memo and the bands
+        # keep rows as built.
         return entries
 
     def _diagonals(self, kind: StirlingKind, top: int) -> list:
@@ -266,19 +279,12 @@ class StirlingCalculator:
         return self._convert(StirlingKind.FIRST_SIGNED, n, m)
 
     def _convert(self, source: StirlingKind, n: int, m: int) -> int:
-        # first_from_second's sum over the source kind; with source =
-        # FIRST_SIGNED it rebuilds the second kind
+        # _converted's sum over the source kind, read through _seen
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if m < 1 or m > n:
             raise ValueError(f"conversion requires 1 <= m <= n, got n={n}, m={m}")
-        d = n - m
-        column = [(-1) ** (m - 1) * comb(n - 1 + k, m - 1) for k in range(d + 1)]
-        row = [(-1) ** (d - k) * comb(n + d, d - k) for k in range(d + 1)]
-        # diagonal d is column 0 of rows d..2d of the band to (2d, d)
-        diagonal = [self._seen(source, k, lo, band)[0]
-                    for k, lo, band in _band(source, (1,), 0, 2 * d, d) if k >= d]
-        return _conversion_sum(n, column, row, diagonal)
+        return _converted(source, n, m, self._seen)
 
 
 class PerturbedCalculator(StirlingCalculator):
@@ -286,11 +292,11 @@ class PerturbedCalculator(StirlingCalculator):
 
     The fault lives in one hook, ``_seen``, which every read goes through:
     the copy of its row handed out by :meth:`row`, the entry :meth:`value`
-    reads, whether from the memo, off a band walked past it or from the
-    second kind's explicit sum, and each band row that the eq1/eq2 sweeps
-    and the conversions read their source diagonals from. The memo and the
-    bands keep their rows as built, so rows built later by the recurrence
-    are the healthy ones and the fault never spreads past its own entry.
+    reads by any route (its conversion reads the source as built), and each
+    band row that the eq1/eq2 sweeps and the public conversions read their
+    source diagonals from. The memo and the bands keep their rows as
+    built, so rows built later by the recurrence are the healthy ones and
+    the fault never spreads past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -317,6 +323,20 @@ class PerturbedCalculator(StirlingCalculator):
         patched = list(entries)
         patched[i] += self.delta
         return tuple(patched)
+
+
+def _converted(source: StirlingKind, n: int, m: int, seen=lambda kind, k, lo, band: band) -> int:
+    # first_from_second's sum over diagonal d = n - m of the source kind (column 0 of
+    # rows d..2d of the band to (2d, d), each row read through seen, by default as
+    # built), each signed binomial stepped exactly from the one before it
+    d = n - m
+    column = accumulate(range(n, n + d), lambda c, j: c * j // (j - m + 1),
+                        initial=(-1) ** (m - 1) * comb(n - 1, m - 1))
+    row = accumulate(range(d), lambda r, k: -r * (d - k) // (n + k + 1),
+                     initial=(-1) ** d * comb(n + d, d))
+    diagonal = [seen(source, k, lo, band)[0]
+                for k, lo, band in _band(source, (1,), 0, 2 * d, d) if k >= d]
+    return _conversion_sum(n, column, row, diagonal)
 
 
 def _conversion_sum(n: int, column, row, diagonal) -> int:

@@ -23,6 +23,7 @@ from stirling.cli import (
     build_parser,
     run,
 )
+from stirling import engine
 from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind, stirling
 from stirling.exact import dump_json
 from stirling.oracle import count_set_partitions
@@ -150,6 +151,18 @@ def test_convert_agreement(capsys):
         "recurrence": "25",
         "agree": True,
     }
+
+
+@pytest.mark.parametrize("direction", ["s1-from-s2", "s2-from-s1"])
+def test_convert_does_not_check_the_conversion_against_itself(direction, monkeypatch, capsys):
+    # value() converts (400, 390), so convert's recurrence side must take
+    # another route, or a broken conversion sum would agree with itself
+    conversion_sum = engine._conversion_sum
+    monkeypatch.setattr(engine, "_conversion_sum", lambda *args: conversion_sum(*args) + 1)
+    assert run(["convert", "--direction", direction, "400", "390"]) == EXIT_VIOLATION
+    value, recurrence, agree = capsys.readouterr().out.splitlines()
+    assert int(value.removeprefix("value: ")) == int(recurrence.removeprefix("recurrence: ")) + 1
+    assert agree == "agree: no"
 
 
 def test_convert_domain_error_is_usage():
@@ -296,6 +309,18 @@ def test_oracle_check_reads_the_calculator_not_a_snapshot(monkeypatch, capsys):
     monkeypatch.setattr(StirlingCalculator, "triangle", no_snapshot)
     assert run(["oracle-check", "--max", "6"]) == EXIT_OK
     assert capsys.readouterr().out == "42 cases, all equal\n"
+
+
+def test_oracle_check_compares_the_enumeration_with_the_walk(monkeypatch, capsys):
+    # the enumeration must be checked against the recurrence: at n <= 8 no
+    # converted or summed value stands in for it
+    def no_shortcut(*args):
+        raise AssertionError("oracle-check read a value off the recurrence")
+
+    monkeypatch.setattr(engine, "_converted", no_shortcut)
+    monkeypatch.setattr(engine, "_second_kind_sum", no_shortcut)
+    assert run(["oracle-check", "--max", "8"]) == EXIT_OK
+    assert capsys.readouterr().out == "72 cases, all equal\n"
 
 
 def test_oracle_check_checks_the_index_cap_before_enumerating(monkeypatch, capsys):

@@ -146,30 +146,66 @@ def summed_queries(monkeypatch):
     return summed
 
 
-@pytest.mark.parametrize("n", [20, 64, 200, 300, 512])
-def test_second_kind_point_queries_past_the_memo_match_whole_rows(n, monkeypatch):
-    whole = StirlingCalculator().row(SECOND, n)
+def converted_queries(monkeypatch):
+    # record the (n, m) of every entry rebuilt by eq1/eq2's sum over the other
+    # kind's diagonal n - m, by value() or by a conversion
+    converted = []
+    conversion = engine._converted
+
+    def recording(source, n, m, *seen):
+        converted.append((n, m))
+        return conversion(source, n, m, *seen)
+
+    monkeypatch.setattr(engine, "_converted", recording)
+    return converted
+
+
+@pytest.mark.parametrize("kind, n", [(SECOND, 20), (SECOND, 64), (SECOND, 200), (SECOND, 300),
+                                     (SECOND, 512), (FIRST, 31), (FIRST, 64), (FIRST, 200)])
+def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
+    whole = StirlingCalculator().row(kind, n)
     summed = summed_queries(monkeypatch)
+    converted = converted_queries(monkeypatch)
     for h in sorted({0, n // 2, n - 1}):
         calc = StirlingCalculator()
-        calc.row(SECOND, h)
+        calc.row(kind, h)
         for m in range(n + 1):
-            calc._walked[SECOND] = 0  # each query stays off the memo
-            assert calc.value(SECOND, n, m) == whole[m], (n, h, m)
-        assert len(calc._rows[SECOND]) == h + 1
-    # the cost rule sums small m far from the memo and walks the narrow bands
-    # next to the diagonal
+            calc._walked[kind] = 0  # each query stays off the memo
+            assert calc.value(kind, n, m) == whole[m], (n, h, m)
+        assert len(calc._rows[kind]) == h + 1
+    assert not set(summed) & set(converted)
+    if n < 32:
+        # below the floor every query walks or sums, so oracle-check's n <= 10
+        # compares the enumeration with the recurrence
+        assert converted == []
+    else:
+        # the entries next to the diagonal are converted from h = 0 and n // 2,
+        # and from h = n - 1 a step or two of walk costs less
+        assert [converted.count((n, m)) for m in range(n - 2, n + 1)] == [2, 2, 2]
+    if kind is FIRST:
+        assert summed == []
+        if n == 64:
+            # the crossover 2 (d + 1)^2 < (64 - h)(d + 1): m = 34..64 from h = 0,
+            # m = 50..64 from h = 32, none from h = 63
+            assert converted == [(64, m) for m in [*range(34, 65), *range(50, 65)]]
+        return
+    # the cost rule sums small m far from the memo and converts the narrow
+    # bands next to the diagonal
     assert {(n, m) for m in range(7)} <= set(summed)
-    assert not {(n, m) for m in range(n - 2, n + 1)} & set(summed)
     if n == 20:
         # the crossover: m = 0..14 from h = 0, m = 0..11 from h = 10, none from h = 19
         assert summed == [(20, m) for m in range(15)] + [(20, m) for m in range(12)]
+    if n == 64:
+        # where the sum costs less than the walk, the conversion must beat the sum:
+        # 2 (d + 1)^2 < 8 (m + 1) from m = 51 on, from h = 0 and h = 32 alike
+        assert converted == [(64, m) for m in [*range(51, 65), *range(51, 65)]]
 
 
 def test_the_explicit_sum_serves_the_second_kind_alone(monkeypatch):
     rows = {kind: StirlingCalculator().row(kind, 454) for kind in (FIRST, SECOND)}
 
     def no_band(*args):
+        # a conversion walks a band too: (454, 133) is summed, neither walked nor converted
         raise AssertionError("walked a band")
 
     monkeypatch.setattr(engine, "_band", no_band)
@@ -196,6 +232,42 @@ def test_perturbed_offset_shows_through_the_explicit_sum(monkeypatch):
     for (n, m), value in expected.items():
         assert PerturbedCalculator(SECOND, 400, 100, 5).value(SECOND, n, m) == value, (n, m)
     assert summed == list(expected)
+
+
+def test_a_converted_query_walks_no_band_to_its_row(monkeypatch):
+    expected = {kind: StirlingCalculator().row(kind, 400)[390] for kind in (FIRST, SECOND)}
+    bands = []
+    band = engine._band
+
+    def recording(kind, row, h, n, m):
+        bands.append((kind, h, n, m))
+        return band(kind, row, h, n, m)
+
+    monkeypatch.setattr(engine, "_band", recording)
+    calc = StirlingCalculator()
+    assert calc.value(FIRST, 400, 390) == expected[FIRST]
+    assert calc.value(SECOND, 400, 390) == expected[SECOND]
+    # each reads diagonal 10 of the other kind off the band to (20, 10)
+    assert bands == [(SECOND, 0, 20, 10), (FIRST, 0, 20, 10)]
+    # charged the walk's steps, so repeated queries still grow the memo
+    assert calc._walked == {FIRST: 400 * 11, SECOND: 400 * 11}
+
+
+@pytest.mark.parametrize("kind, source", [(FIRST, SECOND), (SECOND, FIRST)])
+def test_a_converted_query_carries_the_fault_at_its_entry_alone(kind, source, monkeypatch):
+    expected = StirlingCalculator().row(kind, 400)[390]
+    converted = converted_queries(monkeypatch)
+    # a fault at the converted entry reads +delta exactly
+    assert PerturbedCalculator(kind, 400, 390, -7).value(kind, 400, 390) == expected - 7
+    # value() reads its source diagonal as built, so a fault at a source entry
+    # (10 + k, k) stays out of it, while the conversion, which reads its source
+    # through the fault hook, shows it
+    for k in (0, 3, 10):
+        fault = PerturbedCalculator(source, 10 + k, k, 5)
+        assert fault.value(kind, 400, 390) == expected, k
+        convert = fault.first_from_second if kind is FIRST else fault.second_from_first
+        assert convert(400, 390) != expected, k
+    assert converted == [(400, 390)] * 7
 
 
 def test_special_value_columns():
@@ -584,11 +656,34 @@ _FAULTS = strategies.none() | strategies.integers(0, 12).flatmap(lambda n: strat
     strategies.integers(-3, 3).filter(bool)))
 
 
+def _near_diagonal(d):
+    # a fault past the conversion's floor, or on a source diagonal: value()
+    # converts entries (n, n - d) from the other kind's diagonal d, whose entries
+    # (d + k, k) it reads as built, while the two conversions read them through
+    # the fault hook
+    stored = strategies.sampled_from([FIRST, SECOND])
+    near = strategies.integers(32, 160).map(lambda n: (n, n - d))
+    entries = near | strategies.integers(0, d).map(lambda k: (d + k, k))
+    reads = strategies.one_of(
+        strategies.tuples(strategies.just("value"), strategies.sampled_from(StirlingKind),
+                          entries).map(lambda read: (*read[:2], *read[2])),
+        strategies.tuples(strategies.just("row"), stored, strategies.integers(0, 2 * d)),
+        strategies.tuples(strategies.sampled_from(["first_from_second", "second_from_first"]),
+                          near).map(lambda read: (read[0], *read[1])),
+    )
+    faults = strategies.tuples(stored, entries, strategies.integers(-3, 3).filter(bool)).map(
+        lambda fault: (fault[0], *fault[1], fault[2]))
+    return strategies.tuples(faults, strategies.lists(reads, max_size=25))
+
+
 @settings(deadline=None)
-@given(_FAULTS, strategies.lists(_READS, max_size=25))
-def test_every_read_path_carries_the_fault_at_its_entry_alone(fault, reads):
+@given(strategies.tuples(_FAULTS, strategies.lists(_READS, max_size=25))
+       | strategies.integers(0, 12).flatmap(_near_diagonal))
+def test_every_read_path_carries_the_fault_at_its_entry_alone(case):
     # one calculator serves every read, so memo reads, walks from each memo
-    # height, explicit sums and growth mix in whatever order is drawn
+    # height, explicit sums, conversions and growth mix in whatever order is drawn
+    fault, reads = case
+
     def fresh():
         return StirlingCalculator() if fault is None else PerturbedCalculator(*fault)
 
@@ -600,7 +695,7 @@ def test_every_read_path_carries_the_fault_at_its_entry_alone(fault, reads):
         if kind is UNSIGNED:
             return (-1) ** (n - m) * expected(FIRST, n, m)
         offset = fault[3] if fault is not None and fault[:3] == (kind, n, m) else 0
-        return healthy.value(kind, n, m) + offset
+        return healthy.row(kind, n)[m] + offset
 
     def expected_row(kind, n):
         return tuple(expected(kind, n, m) for m in range(n + 1))
