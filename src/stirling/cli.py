@@ -114,12 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the parser costs more than parsing most requests, and
-    # parse_args keeps no state between calls: every call gets a new
-    # namespace, and the limits are read from it and the environment
-    return build_parser()
+# building the parser costs more than parsing most requests, and
+# parse_args keeps no state between calls: every call gets a new
+# namespace, and the limits are read from it and the environment
+_parser = functools.cache(build_parser)
 
 
 def _limit(value, env_name: str, default: int, what: str) -> int:

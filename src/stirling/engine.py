@@ -16,11 +16,12 @@ N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
 come from :meth:`StirlingCalculator.row`, which fills the memo: triangles read
-them there, the sweeps fetch each row they need once, and every row of the
-products s·S and S·s comes from one function, ``_product``. Everything else
-but some second-kind point queries is read off a band, ``_band``: the rows
-from a start row up to (n, m), each kept only in the columns that reach
-(n, m) and stored nowhere. A point query,
+them there and the sweeps fetch each row they need once. Every other table a
+sweep holds, bar lists of N ints, comes from ``_product``, the rows of s·S
+and S·s, or ``_conversion_rows``, eq1/eq2's Pascal weights and diagonals.
+Everything else but some second-kind point queries is read off a band,
+``_band``: the rows from a start row up to (n, m), each kept only in the
+columns that reach (n, m) and stored nowhere. A point query,
 :meth:`StirlingCalculator.value`, reads row n if the memo holds it.
 Otherwise it takes the cheapest of three routes, each costed in band steps:
 the walk up the band from the memo's last row h, (n - h)(min(m, n - m) + 1)
@@ -230,21 +231,9 @@ class StirlingCalculator:
     def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         # columns lo.. of row n of a stored kind as every read hands them out:
         # row(), value()'s memo read, band, explicit sum and conversion, and the
-        # band rows that _diagonals and _convert read. The memo and the bands
-        # keep rows as built.
+        # band rows that _conversion_rows and _convert read. The memo and the
+        # bands keep rows as built.
         return entries
-
-    def _diagonals(self, kind: StirlingKind, top: int) -> list:
-        # diagonals 0..top-1 of a stored kind, diagonal d the entries (d + k, k)
-        # for k = 0..d, stored nowhere but here. They reach row 2top-2 through
-        # the band to (2top-2, top-1): rows 0..top-1 whole, then one column
-        # fewer on the left at every row. Column c of row r lies on diagonal
-        # r-c and is read while c <= r-c, so diagonals r-lo down to ceil(r/2).
-        diagonals = [[] for _ in range(top)]
-        for r, lo, band in _band(kind, (1,), 0, 2 * top - 2, top - 1):
-            for d, entry in zip(range(r - lo, (r - 1) // 2, -1), self._seen(kind, r, lo, band)):
-                diagonals[d].append(entry)
-        return diagonals
 
     def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
         # append rows of a stored kind to its memo rows up to row n
@@ -337,6 +326,23 @@ def _converted(source: StirlingKind, n: int, m: int, seen=lambda kind, k, lo, ba
     diagonal = [seen(source, k, lo, band)[0]
                 for k, lo, band in _band(source, (1,), 0, 2 * d, d) if k >= d]
     return _conversion_sum(n, column, row, diagonal)
+
+
+def _conversion_rows(calc: StirlingCalculator, source: StirlingKind, top: int):
+    # for n = 1..top, the tuple of _converted's sums at m = 1..n, weighted by slices of
+    # _pascal(top), which a sweep reads faster than stepped binomials. The diagonals
+    # 0..top-1 come through calc._seen off the band to (2top-2, top-1): rows 0..top-1
+    # whole, then one column fewer on the left at every row. Column c of row r lies
+    # on diagonal r-c and is read while c <= r-c, so diagonals r-lo down to ceil(r/2).
+    pascal = _pascal(top)
+    columns = _columns(pascal, top)
+    diagonals = [[] for _ in range(top)]
+    for r, lo, band in _band(source, (1,), 0, 2 * top - 2, top - 1):
+        for d, entry in zip(range(r - lo, (r - 1) // 2, -1), calc._seen(source, r, lo, band)):
+            diagonals[d].append(entry)
+    for n in range(1, top + 1):
+        yield tuple(_conversion_sum(n, column[d:2 * d + 1], pascal[n + d][d::-1], diagonals[d])
+                    for column, d in zip(columns, range(n - 1, -1, -1)))
 
 
 def _conversion_sum(n: int, column, row, diagonal) -> int:

@@ -31,14 +31,14 @@ read row m of s·S from coefficient 1, and eq12/eq15 row j of S·s.
 Each first-kind/second-kind pair is one function parametrized by which kind
 sits outside and which inside, behind the public ``*_first``/``*_second``
 names. A sweep reads each row once and builds what its sums share once: inner
-row sums or columns, or eq1/eq2's Pascal table and source diagonals. The rows
-of S·s (eq3, eq12, eq15) and s·S (eq4, eq11, eq13) come from
-``engine._product``, which the polynomial builders use too; ``run_all``
-builds each product once, on its first read, and hands the same rows to its
-three readers, so eq3's and eq4's ``elapsed_ms`` carry the products' cost.
-Each inner sum is then one dot product of plain ints. The source
-diagonals reach row 2N - 2, but the calculator walks them as a band from
-row 0, so the sweep stores no source row.
+row sums or column 1. Every other table comes from an engine function that
+receives the calculator: the rows of S·s (eq3, eq12, eq15) and s·S (eq4,
+eq11, eq13) from ``engine._product``, which the polynomial builders use too,
+and eq1/eq2's converted rows from ``engine._conversion_rows``, which walks
+the source diagonals as a band from row 0 and so stores no source row.
+``run_all`` builds each product once, on its first read, and hands the same
+rows to its three readers, so eq3's and eq4's ``elapsed_ms`` carry the
+products' cost. Each inner sum is then one dot product of plain ints.
 """
 
 import enum
@@ -47,8 +47,7 @@ from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
-from .engine import StirlingKind, _columns, _conversion_sum, _pascal, _product
-from .engine import _SHARED
+from .engine import _SHARED, StirlingKind, _conversion_rows, _product
 from .exact import check_index
 
 _FIRST = StirlingKind.FIRST_SIGNED
@@ -150,14 +149,14 @@ def _row_relation(outer_row, inner_row, sums):
     return -sum(map(mul, outer_row[1:-1], sums[1:])), sum(inner_row[1:-1])
 
 
-def _deriv_relation(outer_row, inner_row, columns):
-    return inner_row[1], -sum(map(mul, outer_row[1:-1], columns[1]))
+def _deriv_relation(outer_row, inner_row, column):
+    return inner_row[1], -sum(map(mul, outer_row[1:-1], column))
 
 
 # (evaluate(outer row m, inner row m, table), table of inner rows, smallest m)
 _UNIT_SUM = (_unit_sum, _inner_sums, 1)
 _ROW_RELATION = (_row_relation, _inner_sums, 2)
-_DERIV_RELATION = (_deriv_relation, lambda rows: _columns(rows, 2), 2)
+_DERIV_RELATION = (_deriv_relation, lambda rows: [row[1] for row in rows[1:]], 2)
 
 
 def _check(relation, name, outer, inner, index, calc):
@@ -214,17 +213,12 @@ def check_deriv_relation_first(j: int, calc=None):
 
 def _sweep_conversion(target, source):
     def sweep(max_index, calc, product):
-        pascal = _pascal(max_index)
-        columns = _columns(pascal, max_index)
-        diagonals = calc._diagonals(source, max_index)
-        for n in range(1, max_index + 1):
-            direct = calc.row(target, n)
-            for m in range(1, n + 1):
-                d = n - m
-                column, row = columns[m - 1][d:2 * d + 1], pascal[n + d][d::-1]
-                converted = _conversion_sum(n, column, row, diagonals[d])
-                if converted != direct[m]:
-                    yield Counterexample({"n": n, "m": m}, converted, direct[m])
+        for n, converted in enumerate(_conversion_rows(calc, source, max_index), 1):
+            direct = calc.row(target, n)[1:]
+            if converted != direct:
+                for m, lhs, rhs in zip(range(1, n + 1), converted, direct):
+                    if lhs != rhs:
+                        yield Counterexample({"n": n, "m": m}, lhs, rhs)
 
     return _range_triangle, sweep
 

@@ -201,6 +201,26 @@ def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
         assert converted == [(64, m) for m in [*range(51, 65), *range(51, 65)]]
 
 
+def test_first_kind_point_queries_at_512_match_the_whole_row(monkeypatch):
+    # every m at n = 512 would walk for seconds, so every 32nd m and both sides
+    # of each horizon's crossover 2 (d + 1)^2 < (512 - h)(d + 1)
+    whole = StirlingCalculator().row(FIRST, 512)
+    converted = converted_queries(monkeypatch)
+    expected = []
+    for h, crossover in ((0, 258), (256, 386), (511, None)):
+        calc = StirlingCalculator()
+        calc.row(FIRST, h)
+        sides = () if crossover is None else (crossover - 1, crossover)
+        ms = sorted({*range(0, 513, 32), *sides})
+        for m in ms:
+            calc._walked[FIRST] = 0  # each query stays off the memo
+            assert calc.value(FIRST, 512, m) == whole[m], (h, m)
+        assert len(calc._rows[FIRST]) == h + 1
+        expected += [(512, m) for m in ms if crossover is not None and m >= crossover]
+    # from h = 0 the rule converts m >= 258, from h = 256 m >= 386, from h = 511 none
+    assert converted == expected
+
+
 def test_the_explicit_sum_serves_the_second_kind_alone(monkeypatch):
     rows = {kind: StirlingCalculator().row(kind, 454) for kind in (FIRST, SECOND)}
 

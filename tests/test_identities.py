@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+import stirling.engine as engine
 import stirling.identities as identities
 from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind
 from stirling.exact import IndexLimitError, dump_json
@@ -301,6 +302,34 @@ def test_each_call_builds_only_the_products_it_reads(monkeypatch, make):
         built.clear()
         run_identity(identity, 12, calc)
         assert built == ([readers[identity]] if identity in readers else []), identity
+
+
+@pytest.mark.parametrize("make", [StirlingCalculator, partial(PerturbedCalculator, FIRST, 15, 4)],
+                         ids=["healthy", "perturbed"])
+def test_a_conversion_sweep_builds_one_pascal_table_and_walks_one_band(monkeypatch, make):
+    calls = []
+    pascal, band = engine._pascal, engine._band
+
+    def counted_pascal(top):
+        calls.append(("pascal", top))
+        return pascal(top)
+
+    def counted_band(kind, row, h, n, m):
+        calls.append(("band", kind, h, n, m))
+        return band(kind, row, h, n, m)
+
+    monkeypatch.setattr(engine, "_pascal", counted_pascal)
+    monkeypatch.setattr(engine, "_band", counted_band)
+    calc = make()
+    # the band from row 0 to (22, 11) carries diagonals 0..11 of the source kind
+    for identity, source in ((IdentityId.CONVERSION_1, SECOND), (IdentityId.CONVERSION_2, FIRST)):
+        calls.clear()
+        run_identity(identity, 12, calc)
+        assert calls == [("pascal", 12), ("band", source, 0, 22, 11)], identity
+    calls.clear()
+    run_all(12, calc)
+    assert calls == [("pascal", 12), ("band", SECOND, 0, 22, 11),
+                     ("pascal", 12), ("band", FIRST, 0, 22, 11)]
 
 
 def test_report_json_schema_and_round_trip():
