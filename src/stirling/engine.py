@@ -49,12 +49,11 @@ whole-triangle consistency check.
 
 import enum
 import threading
-from dataclasses import dataclass
 from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial
 from operator import add, mul, sub
 
-from .exact import DEFAULT_INDEX_CAP, check_index, check_int, check_limit, dump_json
+from .exact import DEFAULT_INDEX_CAP, FrozenValue, check_index, check_int, check_limit, dump_json
 
 
 class StirlingKind(enum.Enum):
@@ -74,30 +73,29 @@ def _stored(kind: StirlingKind) -> StirlingKind:
     return kind
 
 
-@dataclass(frozen=True, repr=False, slots=True)
-class Triangle:
+class Triangle(FrozenValue):
     """Immutable snapshot of the first rows of one triangle kind; int entries."""
 
-    kind: StirlingKind
-    rows: tuple
+    __slots__ = ("kind", "rows")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, StirlingKind):
-            raise TypeError(f"kind must be a StirlingKind, got {self.kind!r}")
+    def __init__(self, kind: StirlingKind, rows):
+        if not isinstance(kind, StirlingKind):
+            raise TypeError(f"kind must be a StirlingKind, got {kind!r}")
         # one pass over the rows, each checked while the unsigned view's fresh
         # entries are in cache: a row's types in one C-level pass, and only a row
         # that fails it entry by entry, so the rule and its message are check_int's
-        rows = []
-        for n, row in enumerate(map(tuple, self.rows)):
+        checked = []
+        for n, row in enumerate(map(tuple, rows)):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
             if not set(map(type, row)) <= {int}:
                 for v in row:
                     check_int(v, "triangle entry")
-            rows.append(row)
-        if not rows:
+            checked.append(row)
+        if not checked:
             raise ValueError("a triangle needs at least row 0")
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rows", tuple(checked))
 
     def __repr__(self):
         return f"Triangle({self.kind.value!r}, rows=0..{len(self.rows) - 1})"

@@ -7,6 +7,7 @@ not a bool or other subclass) and :func:`check_rational` (what ``Fraction``
 accepts, not a float). On top come a configurable cap on index-like arguments
 (a rail against typo-sized requests allocating forever, not a correctness
 bound) and the canonical string and JSON forms used by all machine output.
+:class:`FrozenValue` is the base of the package's immutable result records.
 """
 
 import json
@@ -38,6 +39,51 @@ class IndexLimitError(ResourceLimitError):
         self.name = name
         self.value = value
         self.cap = cap
+
+
+class FrozenValue:
+    """Base of an immutable record whose fields are its ``__slots__``, in order.
+
+    A subclass's ``__init__`` sets each field once with ``object.__setattr__``;
+    after that, assigning or deleting any attribute raises
+    ``FrozenInstanceError``, an ``AttributeError``. Two records are equal when
+    they are of the same class with equal fields, and hash as the tuple of
+    their fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise _frozen_error("assign to", name)
+
+    def __delattr__(self, name):
+        raise _frozen_error("delete", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _frozen_error(verb: str, name: str) -> AttributeError:
+    # imported here, not at the top: its module pulls in inspect and ast, several
+    # ms of every CLI call's start-up
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
 def check_int(value, name: str) -> int:

@@ -43,12 +43,11 @@ products' cost. Each inner sum is then one dot product of plain ints.
 
 import enum
 import time
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
 from .engine import _SHARED, StirlingKind, _conversion_rows, _product
-from .exact import check_index
+from .exact import FrozenValue, check_index
 
 _FIRST = StirlingKind.FIRST_SIGNED
 _SECOND = StirlingKind.SECOND
@@ -73,13 +72,15 @@ class IdentityId(enum.Enum):
     DERIV_RELATION_18 = "eq18"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(FrozenValue):
     """One failing index point, both sides recorded exactly as computed."""
 
-    indices: dict
-    lhs: int
-    rhs: int
+    __slots__ = ("indices", "lhs", "rhs")
+
+    def __init__(self, indices: dict, lhs: int, rhs: int):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_json_data(self) -> dict:
         return {
@@ -89,14 +90,16 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(FrozenValue):
     """Outcome of sweeping one identity over a range."""
 
-    id: IdentityId
-    range: str
-    counterexamples: tuple
-    elapsed_ms: int
+    __slots__ = ("id", "range", "counterexamples", "elapsed_ms")
+
+    def __init__(self, id: IdentityId, range: str, counterexamples: tuple, elapsed_ms: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "range", range)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     @property
     def status(self) -> str:

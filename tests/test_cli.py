@@ -498,6 +498,22 @@ def test_console_entry_point_runs():
     assert proc.stdout == "7\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # every command is a fresh process: these modules would cost several ms of
+    # each call's start-up. -S keeps a site .pth file from preloading them.
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stirling.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child, str(SRC)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
 def test_a_closed_reader_ends_the_command_by_sigpipe():
     # ~3 MB of csv, more than any pipe buffer holds, so the writer is still

@@ -560,6 +560,9 @@ def test_triangle_is_a_frozen_value_sharing_the_memo_rows():
     assert repr(tri) == "Triangle('second', rows=0..5)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         tri.rows = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del tri.rows
+    assert tri != (SECOND, tri.rows)
 
 
 def test_csv_export():

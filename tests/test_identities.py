@@ -3,6 +3,7 @@ reports, exhaustive counterexample collection, and mutation sensitivity
 (the test of the tests)."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 from functools import partial
@@ -184,6 +185,13 @@ def test_counterexamples_are_exhaustive_ordered_and_exact():
     again = run_identity(IdentityId.UNIT_SUM_5, 9, faulty)
     assert again.counterexamples == report.counterexamples
     assert again.range == report.range
+    ce = report.counterexamples[0]
+    assert ce != (ce.indices, ce.lhs, ce.rhs)
+    with pytest.raises(AttributeError):
+        ce.lhs = 1
+    with pytest.raises(AttributeError):
+        report.range = ""
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_polynomial_counterexamples_record_coefficients():
