@@ -23,9 +23,10 @@ import argparse
 import functools
 import os
 import sys
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
-from .engine import PerturbedCalculator, StirlingCalculator, StirlingKind
+from .engine import (PerturbedCalculator, StirlingCalculator, StirlingKind,
+                     _csv_lines, _json_lines)
 from .exact import DEFAULT_INDEX_CAP, ResourceLimitError, check_index, check_limit, dump_json
 from .identities import IdentityId, run_all, run_identity
 from .oracle import (
@@ -139,20 +140,25 @@ def _render_table(rows) -> str:
 
 
 def _cmd_triangle(args, calc) -> int:
+    # every format is written a row at a time as the rows stream off the memo,
+    # which fills to row N before the first byte
     check_index(args.rows, calc.index_cap, "--rows")
-    triangle = calc.triangle(StirlingKind(args.kind), args.rows)
+    kind = StirlingKind(args.kind)
+    rows = calc._stream(kind, args.rows)
     if args.format == "csv":
-        sys.stdout.write(triangle.to_csv())
+        pieces = _csv_lines(rows)
     elif args.format == "json":
-        print(triangle.to_json())
+        pieces = chain(_json_lines(rows), ("\n",))
     else:
         # columns right-aligned to their widest cells, all in the last two rows:
         # |s(n, m)| and S(n, m) never decrease down column m >= 1, a minus sign
-        # shows only on alternate rows and column 0 is 1 wide; so rows stream
+        # shows only on alternate rows and column 0 is 1 wide
+        last = calc._stream(kind, args.rows, max(args.rows - 1, 0))
         widths = [max(len(str(v)) for v in column)
-                  for column in zip_longest(*triangle.rows[-2:], fillvalue=0)]
-        for row in triangle.rows:
-            sys.stdout.write(" ".join(map(str.rjust, map(str, row), widths)) + "\n")
+                  for column in zip_longest(*last, fillvalue=0)]
+        pieces = (" ".join(map(str.rjust, map(str, row), widths)) + "\n" for row in rows)
+    for piece in pieces:
+        sys.stdout.write(piece)
     return EXIT_OK
 
 

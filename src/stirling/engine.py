@@ -15,8 +15,10 @@ never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
 N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
-come from :meth:`StirlingCalculator.row`, which fills the memo: triangles read
-them there and the sweeps fetch each row they need once. Every other table a
+come from :meth:`StirlingCalculator.row`, which fills the memo: the sweeps
+fetch each row they need once, and triangles stream theirs off it one row at
+a time, the unsigned rows sign-flipped as they go, into a snapshot or straight
+into CSV or JSON text, ``_csv_lines`` and ``_json_lines``. Every other table a
 sweep holds, bar lists of N ints, comes from ``_product``, the rows of s·S
 and S·s, or ``_conversion_rows``, eq1/eq2's Pascal weights and diagonals.
 Everything else but some second-kind point queries is read off a band,
@@ -102,11 +104,28 @@ class Triangle(FrozenValue):
 
     def to_csv(self) -> str:
         """Ragged comma-separated exact decimals, one row per line, no header."""
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows) + "\n"
+        return "".join(_csv_lines(self.rows))
 
     def to_json(self) -> str:
         """Rows as a JSON array of arrays of exact decimal strings."""
-        return dump_json([[str(v) for v in row] for row in self.rows])
+        return "".join(_json_lines(self.rows))
+
+
+def _csv_lines(rows):
+    # Triangle.to_csv's text, one line per row
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _json_lines(rows):
+    # Triangle.to_json's text, dump_json of the list of rows, one piece per row:
+    # each row as dump_json writes it inside its outer brackets, the first piece
+    # opening the array only once a row has arrived. Needs at least one row.
+    separator = "[\n"
+    for row in rows:
+        yield separator + dump_json([list(map(str, row))])[2:-2]
+        separator = ",\n"
+    yield "\n]"
 
 
 def _next_row(kind: StirlingKind, prev: tuple, n: int, lo: int = 0) -> tuple:
@@ -241,15 +260,22 @@ class StirlingCalculator:
             self._walked[kind] = 0
 
     def triangle(self, kind: StirlingKind, max_row: int) -> Triangle:
-        """Snapshot rows 0..max_row of one kind."""
+        """Snapshot rows 0..max_row of one kind, each as :meth:`row` hands it
+        out; entry m of first-unsigned row n is (-1)^(n-m) times the signed one."""
         check_index(max_row, self.index_cap, "max_row")
-        if kind is not StirlingKind.FIRST_UNSIGNED:
-            return Triangle(kind, (self.row(kind, n) for n in range(max_row + 1)))
-        signed = (self.row(StirlingKind.FIRST_SIGNED, n) for n in range(max_row + 1))
-        return Triangle(kind, (
-            [-v if (n - m) % 2 else v for m, v in enumerate(row)]
-            for n, row in enumerate(signed)
-        ))
+        return Triangle(kind, self._stream(kind, max_row))
+
+    def _stream(self, kind: StirlingKind, top: int, first: int = 0):
+        # rows first..top of any kind as row() hands them out, after filling the
+        # memo to row top, so a request too big for memory fails before it yields
+        # anything; first-unsigned flips the signed rows' signs one row at a time
+        stored = StirlingKind.FIRST_SIGNED if kind is StirlingKind.FIRST_UNSIGNED else kind
+        self.row(stored, top)
+        for n in range(first, top + 1):
+            row = self.row(stored, n)
+            if kind is not stored:
+                row = tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
+            yield row
 
     def first_from_second(self, n: int, m: int) -> int:
         """Signed first-kind value rebuilt from the second-kind triangle:

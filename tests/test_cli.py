@@ -2,6 +2,7 @@
 round-tripping. Everything runs in-process through cli.run()."""
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -106,6 +107,16 @@ def test_triangle_json_round_trips(capsys):
     data = json.loads(out)
     assert data[5] == ["0", "1", "15", "25", "10", "1"]
     assert dump_json(data) + "\n" == out
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 40])
+@pytest.mark.parametrize("kind", ["first", "first-unsigned", "second"])
+def test_triangle_csv_and_json_print_the_snapshot_exports(capsys, kind, rows):
+    # the command streams its rows, yet prints the snapshot's exports byte for byte
+    triangle = StirlingCalculator().triangle(StirlingKind(kind), rows)
+    for fmt, out in [("csv", triangle.to_csv()), ("json", triangle.to_json() + "\n")]:
+        assert run(["triangle", "--kind", kind, "--rows", str(rows), "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
 
 def test_triangle_exceeding_cap_exits_3(capsys):
@@ -302,13 +313,22 @@ def test_oracle_check_reports_a_mismatch(monkeypatch, capsys):
     )
 
 
-def test_oracle_check_reads_the_calculator_not_a_snapshot(monkeypatch, capsys):
-    def no_snapshot(self, kind, max_row):
-        raise AssertionError("oracle-check took a triangle snapshot")
+def test_oracle_check_and_triangle_read_the_calculator_not_a_snapshot(monkeypatch, capsys):
+    def no_snapshot(*args):
+        raise AssertionError("the command took a triangle snapshot")
 
     monkeypatch.setattr(StirlingCalculator, "triangle", no_snapshot)
+    monkeypatch.setattr(engine.Triangle, "__init__", no_snapshot)
     assert run(["oracle-check", "--max", "6"]) == EXIT_OK
     assert capsys.readouterr().out == "42 cases, all equal\n"
+    rows = [["1"], ["0", "1"], ["0", "1", "1"], ["0", "2", "3", "1"]]
+    for fmt, out in [
+        ("table", "1\n0 1\n0 1 1\n0 2 3 1\n"),
+        ("csv", "1\n0,1\n0,1,1\n0,2,3,1\n"),
+        ("json", dump_json(rows) + "\n"),
+    ]:
+        assert run(["triangle", "--kind", "first-unsigned", "--rows", "3", "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
 
 def test_oracle_check_compares_the_enumeration_with_the_walk(monkeypatch, capsys):
@@ -532,9 +552,9 @@ def test_a_closed_reader_ends_the_command_by_sigpipe():
     proc.stderr.close()
 
 
-def _limit_address_space():
+def _limit_address_space(mib=400):
     # runs in the child only, between fork and exec
-    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+    resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
 
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
@@ -566,25 +586,36 @@ def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, ou
 
 
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
-def test_the_table_format_writes_600_rows_under_a_memory_limit(tmp_path):
-    # the table is written row by row, so the command holds the memo and one
-    # row's text, not the whole table; stdout goes to a file, read back a line
-    # at a time, so neither process holds the 155 MB of text
-    table = tmp_path / "table.txt"
-    with table.open("w") as stdout:
+@pytest.mark.parametrize("kind, fmt", [
+    ("second", "table"), ("second", "csv"), ("second", "json"), ("first-unsigned", "csv"),
+])
+def test_every_triangle_format_writes_600_rows_in_200_mib(tmp_path, kind, fmt):
+    # every format is written row by row, so the command holds the memo and one
+    # row's text, not the whole text (csv and json took more than 200 MiB when
+    # they were rendered whole); stdout goes to a file, read back a line at a
+    # time, so neither process holds the whole text
+    text = tmp_path / "triangle.txt"
+    with text.open("w") as stdout:
         proc = subprocess.run(
-            [sys.executable, "-m", "stirling.cli", "triangle", "--kind", "second", "--rows", "600"],
+            [sys.executable, "-m", "stirling.cli",
+             "triangle", "--kind", kind, "--rows", "600", "--format", fmt],
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
-            preexec_fn=_limit_address_space,
+            preexec_fn=functools.partial(_limit_address_space, 200),
             timeout=120,
         )
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    with table.open() as lines:
+    with text.open() as lines:
         for count, last in enumerate(lines, 1):
             pass
-    table.unlink()
-    assert count == 601
-    assert last.split() == [str(v) for v in StirlingCalculator().row(StirlingKind.SECOND, 600)]
+    text.unlink()
+    stored = StirlingKind.SECOND if kind == "second" else StirlingKind.FIRST_SIGNED
+    cells = [str(abs(v)) for v in StirlingCalculator().row(stored, 600)]
+    if fmt == "json":
+        # "[", then per row "  [", its entries one a line and "  ]," or "  ]"; "]"
+        assert (count, last) == (2 + sum(n + 3 for n in range(601)), "]\n")
+    else:
+        assert count == 601
+        assert (last.rstrip("\n").split(",") if fmt == "csv" else last.split()) == cells
