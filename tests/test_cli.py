@@ -333,12 +333,13 @@ def test_oracle_check_and_triangle_read_the_calculator_not_a_snapshot(monkeypatc
 
 def test_oracle_check_compares_the_enumeration_with_the_walk(monkeypatch, capsys):
     # the enumeration must be checked against the recurrence: at n <= 8 no
-    # converted or summed value stands in for it
+    # converted, summed or folded value stands in for it
     def no_shortcut(*args):
         raise AssertionError("oracle-check read a value off the recurrence")
 
     monkeypatch.setattr(engine, "_converted", no_shortcut)
     monkeypatch.setattr(engine, "_second_kind_sum", no_shortcut)
+    monkeypatch.setattr(engine, "_folded", no_shortcut)
     assert run(["oracle-check", "--max", "8"]) == EXIT_OK
     assert capsys.readouterr().out == "72 cases, all equal\n"
 

@@ -160,12 +160,27 @@ def converted_queries(monkeypatch):
     return converted
 
 
+def folded_queries(monkeypatch):
+    # record the (n, m) of every first-kind query value() answers off the
+    # rising factorial folded about its centre
+    folded = []
+    fold = engine._folded
+
+    def recording(n, m):
+        folded.append((n, m))
+        return fold(n, m)
+
+    monkeypatch.setattr(engine, "_folded", recording)
+    return folded
+
+
 @pytest.mark.parametrize("kind, n", [(SECOND, 20), (SECOND, 64), (SECOND, 200), (SECOND, 300),
                                      (SECOND, 512), (FIRST, 31), (FIRST, 64), (FIRST, 200)])
 def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
     whole = StirlingCalculator().row(kind, n)
     summed = summed_queries(monkeypatch)
     converted = converted_queries(monkeypatch)
+    folded = folded_queries(monkeypatch)
     for h in sorted({0, n // 2, n - 1}):
         calc = StirlingCalculator()
         calc.row(kind, h)
@@ -174,10 +189,11 @@ def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
             assert calc.value(kind, n, m) == whole[m], (n, h, m)
         assert len(calc._rows[kind]) == h + 1
     assert not set(summed) & set(converted)
+    assert not set(folded) & set(converted)
     if n < 32:
         # below the floor every query walks or sums, so oracle-check's n <= 10
         # compares the enumeration with the recurrence
-        assert converted == []
+        assert converted == folded == []
     else:
         # the entries next to the diagonal are converted from h = 0 and n // 2,
         # and from h = n - 1 a step or two of walk costs less
@@ -185,10 +201,13 @@ def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
     if kind is FIRST:
         assert summed == []
         if n == 64:
-            # the crossover 2 (d + 1)^2 < (64 - h)(d + 1): m = 34..64 from h = 0,
-            # m = 50..64 from h = 32, none from h = 63
-            assert converted == [(64, m) for m in [*range(34, 65), *range(50, 65)]]
+            # the fold, 3/2 * 32 (d // 2 + 1) steps, costs less than the walk but
+            # for m = 0 and 2 from h = 32 and every m from h = 63; the crossover
+            # 2 (d + 1)^2 < 48 (d // 2 + 1) converts m = 54..64 from h = 0 and 32
+            assert converted == [(64, m) for m in [*range(54, 65), *range(54, 65)]]
+            assert folded == [(64, m) for m in [*range(54), 1, *range(3, 54)]]
         return
+    assert folded == []
     # the cost rule sums small m far from the memo and converts the narrow
     # bands next to the diagonal
     assert {(n, m) for m in range(7)} <= set(summed)
@@ -202,12 +221,13 @@ def test_point_queries_past_the_memo_match_whole_rows(kind, n, monkeypatch):
 
 
 def test_first_kind_point_queries_at_512_match_the_whole_row(monkeypatch):
-    # every m at n = 512 would walk for seconds, so every 32nd m and both sides
-    # of each horizon's crossover 2 (d + 1)^2 < (512 - h)(d + 1)
+    # every 32nd m and both sides of each horizon's crossover between the fold,
+    # 3/2 * 256 (d // 2 + 1) steps, and the conversion, 2 (d + 1)^2
     whole = StirlingCalculator().row(FIRST, 512)
     converted = converted_queries(monkeypatch)
-    expected = []
-    for h, crossover in ((0, 258), (256, 386), (511, None)):
+    folded = folded_queries(monkeypatch)
+    expected_converted, expected_folded = [], []
+    for h, crossover in ((0, 418), (256, 418), (511, None)):
         calc = StirlingCalculator()
         calc.row(FIRST, h)
         sides = () if crossover is None else (crossover - 1, crossover)
@@ -216,9 +236,56 @@ def test_first_kind_point_queries_at_512_match_the_whole_row(monkeypatch):
             calc._walked[FIRST] = 0  # each query stays off the memo
             assert calc.value(FIRST, 512, m) == whole[m], (h, m)
         assert len(calc._rows[FIRST]) == h + 1
-        expected += [(512, m) for m in ms if crossover is not None and m >= crossover]
-    # from h = 0 the rule converts m >= 258, from h = 256 m >= 386, from h = 511 none
-    assert converted == expected
+        if crossover is not None:
+            expected_converted += [(512, m) for m in ms if m >= crossover]
+            expected_folded += [(512, m) for m in ms if m < crossover and (h, m) != (256, 0)]
+    # from h = 0 and h = 256 the rule converts m >= 418 and folds the rest, but
+    # for m = 0 from h = 256, whose 256-step walk costs less; from h = 511 it walks
+    assert converted == expected_converted
+    assert folded == expected_folded
+
+
+@pytest.mark.parametrize("n, crossover", [(32, 28), (33, 29), (64, 54), (65, 55),
+                                          (301, 245), (512, 418)])
+def test_folded_queries_match_whole_rows(n, crossover, monkeypatch):
+    # value() folds every m below the conversion's crossover from h = 0; from
+    # h = n // 2 it walks m = 0 and, where the costs tie for even n, m = 2; from
+    # h = n - 1 it walks. The fold itself must hold at every m, 0 and n included
+    whole = StirlingCalculator().row(FIRST, n)
+    folded = folded_queries(monkeypatch)
+    walks = {0: set(), n // 2: {0} if n % 2 else {0, 2}, n - 1: set(range(crossover))}
+    for h in walks:
+        calc = StirlingCalculator()
+        calc.row(FIRST, h)
+        for m in range(n + 1):
+            calc._walked[FIRST] = 0  # each query stays off the memo
+            assert calc.value(FIRST, n, m) == whole[m], (h, m)
+        assert len(calc._rows[FIRST]) == h + 1
+    assert folded == [(n, m) for walked in walks.values() for m in range(crossover)
+                      if m not in walked]
+    for m in range(crossover, n + 1):
+        assert engine._folded(n, m) == whole[m], m
+    assert [StirlingCalculator().value(UNSIGNED, n, m) for m in range(0, n + 1, 7)] == [
+        abs(v) for v in whole[::7]]
+
+
+def test_perturbed_offset_shows_through_a_folded_query_once(monkeypatch):
+    healthy = StirlingCalculator()
+    target = (301, 100)
+    reads = [(301, 100), (301, 99), (301, 101), (300, 100), (302, 100)]
+    folded = folded_queries(monkeypatch)
+    for n, m in reads:
+        want = healthy.row(FIRST, n)[m] + (5 if (n, m) == target else 0)
+        assert PerturbedCalculator(FIRST, *target, 5).value(FIRST, n, m) == want, (n, m)
+        assert PerturbedCalculator(FIRST, *target, 5).value(UNSIGNED, n, m) == (
+            (-1) ** (n - m) * want), (n, m)
+    assert folded == [read for read in reads for _ in range(2)]
+    # once row 301 is memoized the offset is applied once, not twice
+    fault = PerturbedCalculator(FIRST, *target, 5)
+    assert fault.value(FIRST, *target) == healthy.row(FIRST, 301)[100] + 5
+    assert fault.row(FIRST, 301)[100] == healthy.row(FIRST, 301)[100] + 5
+    assert fault.value(FIRST, *target) == healthy.row(FIRST, 301)[100] + 5
+    assert len(folded) == 2 * len(reads) + 1
 
 
 def test_the_explicit_sum_serves_the_second_kind_alone(monkeypatch):
@@ -699,12 +766,30 @@ def _near_diagonal(d):
     return strategies.tuples(faults, strategies.lists(reads, max_size=25))
 
 
+def _beside_a_fold(n, m):
+    # a fault on or beside a first-kind entry mid-row past the fold's floor,
+    # which value() folds off the memo, or walks once the reads have grown it
+    near = strategies.tuples(strategies.integers(n - 1, n + 1), strategies.integers(m - 1, m + 1))
+    reads = strategies.tuples(strategies.just("value"), strategies.sampled_from([FIRST, UNSIGNED]),
+                              near).map(lambda read: (*read[:2], *read[2]))
+    faults = strategies.tuples(strategies.sampled_from([FIRST, SECOND]), near,
+                               strategies.integers(-3, 3).filter(bool)).map(
+        lambda fault: (fault[0], *fault[1], fault[2]))
+    return strategies.tuples(faults, strategies.lists(reads, max_size=25))
+
+
+_MID_ROW = strategies.integers(32, 160).flatmap(
+    lambda n: strategies.tuples(strategies.just(n), strategies.integers(n // 4, 3 * n // 4)))
+
+
 @settings(deadline=None)
 @given(strategies.tuples(_FAULTS, strategies.lists(_READS, max_size=25))
-       | strategies.integers(0, 12).flatmap(_near_diagonal))
+       | strategies.integers(0, 12).flatmap(_near_diagonal)
+       | _MID_ROW.flatmap(lambda entry: _beside_a_fold(*entry)))
 def test_every_read_path_carries_the_fault_at_its_entry_alone(case):
     # one calculator serves every read, so memo reads, walks from each memo
-    # height, explicit sums, conversions and growth mix in whatever order is drawn
+    # height, explicit sums, folds, conversions and growth mix in whatever
+    # order is drawn
     fault, reads = case
 
     def fresh():
