@@ -1,14 +1,17 @@
 """Oracle tests: the enumerators against hand counts, an independent
 cycle walker, an independent block-insertion enumerator, and the recurrence
-engine."""
+engine; and the oracle's imports, which keep it independent of the engine."""
 
+import ast
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from stirling.engine import StirlingKind, stirling
 from stirling.oracle import (
     BudgetExceededError,
+    _heap_swaps,
     _permutation_cycle_census,
     count_permutations_by_cycles,
     count_set_partitions,
@@ -73,6 +76,38 @@ def test_permutation_census_sums_to_factorial():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_permutation_census_matches_cycle_walk(n):
     assert _permutation_cycle_census(n) == walked_cycle_census(n)
+
+
+def test_permutation_census_of_nine_runs_past_the_block():
+    # levels 5..8 lie past the block of positions 0..4; the tuple is the one
+    # the itertools walker gave before the oracle moved to Heap's swaps
+    assert _permutation_cycle_census(9) == (
+        0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1
+    )
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_heap_swaps_visit_every_arrangement_of_the_block_once(size):
+    swaps = _heap_swaps(size)
+    arrangement = list(range(size))
+    seen = {tuple(arrangement)}
+    for a, i in swaps:
+        assert 0 <= a < i < size
+        arrangement[a], arrangement[i] = arrangement[i], arrangement[a]
+        seen.add(tuple(arrangement))
+    assert len(seen) == len(swaps) + 1
+    assert seen == set(permutations(range(size)))
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    path = Path(__file__).resolve().parent.parent / "src" / "stirling" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"functools", ".exact"}
 
 
 def test_partition_examples():
