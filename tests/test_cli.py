@@ -9,11 +9,14 @@ import re
 import signal
 import subprocess
 import sys
+from itertools import chain
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from stirling import cli
 from stirling.cli import (
     ENV_INDEX_CAP,
     ENV_ORACLE_BUDGET,
@@ -451,14 +454,21 @@ def test_run_builds_one_parser_per_process(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
+    # a well-formed request is read off the command table
     assert run(["value", "--kind", "second", "4", "2"]) == EXIT_OK
-    built.clear()
     assert run(["convert", "--direction", "s1-from-s2", "5", "2"]) == EXIT_OK
+    assert built == []
+    # the first declined request builds the shared parser, the next builds none
+    assert run(["value", "--kind=second", "4", "2"]) == EXIT_OK
+    assert built and built[0] is cli._parser()
+    built.clear()
+    assert run(["value", "--kin", "second", "4", "2"]) == EXIT_OK
     assert built == []
     # the count does see construction, and build_parser() still builds afresh
     assert build_parser() is not build_parser()
     assert built
-    assert capsys.readouterr().out == "7\nvalue: -50\nrecurrence: -50\nagree: yes\n"
+    assert capsys.readouterr().out == "7\nvalue: -50\nrecurrence: -50\nagree: yes\n7\n7\n"
 
 
 def test_no_state_carries_from_one_run_to_the_next(monkeypatch, capsys):
@@ -508,6 +518,117 @@ def test_usage_errors_and_help_match_a_fresh_parser(monkeypatch, capsys, argv):
     assert (run(argv), *capsys.readouterr()) == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["value", "--kin", "second", "4", "2"],
+    ["value", "--kind=second", "4", "2"],
+    ["value", "4", "--kind", "second", "--", "2"],
+])
+def test_argparse_still_serves_the_spellings_the_reader_declines(capsys, argv):
+    assert cli._read(argv) is None
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr() == ("7\n", "")
+
+
+def test_a_repeated_flag_goes_to_argparse_where_the_last_one_wins(capsys):
+    argv = ["verify", "--identity", "eq5", "--max", "6", "--max", "7", "--format", "json"]
+    assert cli._read(argv) is None
+    assert run(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["range"] == "1 <= m <= 7 (7 cases)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["value", "--kind", "second", "4", "2"],
+    ["--index-cap", "40", "value", "--kind", "first-unsigned", "5", "2"],
+    ["value", "4", "--kind", "first", "2"],
+    ["convert", "--format", "json", "--direction", "s2-from-s1", "5", "3"],
+    ["triangle", "--rows", "3", "--kind", "second", "--format", "csv"],
+    ["verify", "--identity", "all", "--max", "12", "--inject-fault", "second:5:2:1"],
+    ["oracle-check", "--budget", "9", "--max", "6"],
+    ["oracle-check"],
+])
+def test_the_reader_reads_plain_requests_as_argparse_does(argv):
+    read = cli._read(argv)
+    assert read is not None
+    assert vars(read) == vars(build_parser().parse_args(argv))
+
+
+def _mostly(plain, odd):
+    # seven draws in eight spelled plainly, so that about a quarter of the
+    # argvs are well formed throughout
+    return st.sampled_from([plain] * 7 + [odd]).flatmap(lambda tokens: tokens)
+
+
+_INT_TOKENS = _mostly(
+    st.integers(0, 8).map(str),
+    # int() reads these as argparse's type=int does, or rejects them
+    st.sampled_from(["-1", "-2", "+4", " 5", "\u0663", "0_7", "", "x", "1.0"]),
+)
+_ODD_TOKENS = st.sampled_from([
+    "--", "-h", "--help", "--kin", "--kind=first", "--max=3", "--format",
+    "--index-cap", "--nope", "-1", "value", "",
+])
+
+
+def _option_values(kind):
+    if kind is int:
+        return _INT_TOKENS
+    if kind is str:
+        # free text, half of it spelled like an option, which argparse
+        # refuses as a value unless it reads as a negative number
+        return st.sampled_from(["second:5:2:1", "first:3:1:2", "bad", "-x", "--max", "-1"])
+    return _mostly(st.sampled_from(kind), st.sampled_from(["third", "", "-h", "ALL"]))
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, options, positionals = cli._COMMANDS[name]
+    pieces = []
+    for flag, _, kind, *_ in options:
+        # absent, once, or repeated
+        for _ in range(draw(st.sampled_from([0] + [1] * 8 + [2]))):
+            value = draw(_option_values(kind))
+            glued = draw(st.integers(0, 19)) == 0
+            pieces.append([f"{flag}={value}"] if glued else [flag, value])
+    count = len(positionals) + draw(st.sampled_from([0] * 14 + [-1, 1]))
+    pieces += [[draw(_INT_TOKENS)] for _ in range(max(count, 0))]
+    argv = [name, *chain.from_iterable(draw(st.permutations(pieces)))]
+    if draw(st.booleans()):
+        cap = ["--index-cap", draw(_INT_TOKENS)]
+        at = draw(st.sampled_from([0, 0, 0, 1, len(argv)]))
+        argv[at:at] = cap
+    for _ in range(draw(st.sampled_from([0] * 14 + [1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_ODD_TOKENS))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+# the draws above reach these only in some runs: argparse lets the last of a
+# repeated flag win, and refuses a value spelled like an option
+@example(["value", "--kind", "first", "--kind", "second", "4", "2"])
+@example(["verify", "--identity", "eq5", "--inject-fault", "-x"])
+def test_the_reader_declines_or_agrees_with_a_fresh_parser(argv):
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == vars(build_parser().parse_args(argv))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_run_answers_as_a_fresh_parser_and_its_handler_would(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    got = (run(argv), *capsys.readouterr())
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_read", lambda argv: None)
+        patched.setattr(cli, "_parser", build_parser)
+        expected = (run(argv), *capsys.readouterr())
+    assert _masked(got[1]) == _masked(expected[1])
+    assert (got[0], got[2]) == (expected[0], expected[2])
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "stirling.cli", "value", "--kind", "second", "4", "2"],
@@ -533,6 +654,28 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_well_formed_requests_leave_argparse_unimported():
+    # argparse pulls in gettext and locale, ~2 ms of each call's start-up;
+    # only help, usage errors and unusual spellings need it
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from stirling.cli import run; "
+        "codes = [run(['value', '--kind', 'second', '4', '2']), "
+        "run(['verify', '--identity', 'eq5', '--max', '6'])]; "
+        "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]; "
+        "codes.append(run(['value', '--kind', 'third', '1', '1'])); "
+        "print(codes, loaded)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child, str(SRC)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("7\n")
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 2] []"
+    assert proc.stderr.startswith("usage: stirling value")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
