@@ -37,6 +37,9 @@ for n in range(1, 7):
 print("\nFull sweep to n = 9 (9! = 362880 permutations, Bell(9) = 21147")
 print("partitions, every one visited):")
 start = time.perf_counter()
+# n = 9 first: its one run and one walk record the census of every smaller n
+count_permutations_by_cycles(9, 9)
+count_set_partitions(9, 9)
 cases = 0
 mismatches = 0
 for n in range(1, 10):

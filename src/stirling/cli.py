@@ -186,6 +186,9 @@ def _cmd_oracle_check(args, calc) -> int:
     if args.max_n > budget:
         raise BudgetExceededError(args.max_n, budget)
     check_index(args.max_n, calc.index_cap, "--max")
+    # one enumeration of the largest size records every smaller size's census
+    count_permutations_by_cycles(args.max_n, args.max_n, budget)
+    count_set_partitions(args.max_n, args.max_n, budget)
 
     cases = 0
     mismatches = []

@@ -13,12 +13,19 @@ its swaps is walked on the block's contracted map, which sends a position
 below five to the first position below five that the permutation reaches
 from it; two positions share a cycle of the permutation exactly when they
 share one of the map. A block's counts are never copied from another
-block's: each permutation in it is walked and counted on its own. A finished
-census is memoized so repeated point queries do not re-enumerate.
+block's: each permutation in it is walked and counted on its own.
 
-Costs still grow factorially: the n = 10 census (3 628 800 permutations)
-takes about 1 s on a 2-vCPU Xeon VM under CPython 3.11, and Bell(10) =
-115 975 partitions about 0.03 s. Hence the budget rail.
+One run serves every smaller size: before Heap's algorithm first swaps at
+level k it has visited exactly the k! permutations of the first k positions,
+so the counts it holds then, shifted by the n - k fixed points, are the census
+of k; and each node at depth k of the restricted-growth walk is one partition
+of a k-set. A census is recorded from the visits of the run that passes it,
+never derived from another census, and memoized so repeated point queries do
+not re-enumerate.
+
+Costs still grow factorially: the n = 10 run (3 628 800 permutations)
+takes 0.5-0.9 s on a 2-vCPU Xeon VM under CPython 3.11, and the walk to
+Bell(10) = 115 975 partitions about 0.03 s. Hence the budget rail.
 """
 
 from functools import lru_cache
@@ -76,9 +83,11 @@ def count_set_partitions(n: int, m: int,
 _BLOCK = 5
 
 
+@lru_cache(maxsize=None)
 def _heap_swaps(size: int) -> tuple:
     """The size! - 1 swaps (a, i) Heap's algorithm makes on range(size), in
-    order: c[i] counts the swaps made at level i."""
+    order: c[i] counts the swaps made at level i. Cached, since every run
+    with the same block replays the same list."""
     swaps = []
     c = [0] * size
     i = 1
@@ -94,9 +103,34 @@ def _heap_swaps(size: int) -> tuple:
     return tuple(swaps)
 
 
-@lru_cache(maxsize=None)
+# Finished censuses by size. One run of size N records the census of every
+# size it passes on its way, so a request for N first serves each smaller one.
+_PERMUTATION_CENSUSES = {}
+_PARTITION_CENSUSES = {}
+
+
 def _permutation_cycle_census(n: int) -> tuple:
     """counts[m] = permutations of range(n) with exactly m cycles.
+
+    A run of size n records sizes min(n, 5)..n; a size below the block of 5
+    positions meets its k! boundary inside a block, so it gets a run of its
+    own (33 permutations for sizes 1..4 together).
+    """
+    if n not in _PERMUTATION_CENSUSES:
+        _run_permutations(n)
+    return _PERMUTATION_CENSUSES[n]
+
+
+def _set_partition_census(n: int) -> tuple:
+    """counts[m] = partitions of an n-set with exactly m blocks."""
+    if n not in _PARTITION_CENSUSES:
+        _walk_partitions(n)
+    return _PARTITION_CENSUSES[n]
+
+
+def _run_permutations(n: int) -> None:
+    """Enumerate all n! permutations of range(n) once, recording the cycle
+    census of range(k) for every k from min(n, 5) to n.
 
     Heap's algorithm visits all n! permutations of one array, starting from
     the identity with n cycles. Each step swaps positions a and i, which
@@ -115,6 +149,12 @@ def _permutation_cycle_census(n: int) -> tuple:
     builds rho in O(n), walks and swaps on its L entries, and applies the
     block's fixed net rearrangement to perm[:L] once at the end. Swaps at
     level L and above walk perm itself.
+
+    Before its first swap at level k, the run has visited exactly the k!
+    permutations of positions 0..k-1, each with positions k..n-1 fixed: a
+    permutation of range(k) plus n - k fixed points. So when a block end
+    first reaches level k, the counts shifted down by n - k are the census
+    of k, read off this run's own visits.
     """
     size = min(n, _BLOCK)
     swaps = _heap_swaps(size)
@@ -127,6 +167,8 @@ def _permutation_cycle_census(n: int) -> tuple:
     perm = list(range(n))
     cycles = n
     c = [0] * n
+    # the lowest level no block end has reached yet
+    fresh = size
     while True:
         rho = []
         for p in range(size):
@@ -146,8 +188,11 @@ def _permutation_cycle_census(n: int) -> tuple:
         while i < n and c[i] == i:
             c[i] = 0
             i += 1
-        if i == n:
-            return tuple(counts)
+        if i == fresh:
+            _PERMUTATION_CENSUSES[i] = tuple(counts[n - i:])
+            if i == n:
+                return
+            fresh += 1
         k = c[i]
         a = k if i & 1 else 0
         j = perm[a]
@@ -159,23 +204,30 @@ def _permutation_cycle_census(n: int) -> tuple:
         c[i] = k + 1
 
 
-@lru_cache(maxsize=None)
-def _set_partition_census(n: int) -> tuple:
-    """counts[m] = partitions of an n-set with exactly m blocks.
+def _walk_partitions(n: int) -> None:
+    """Enumerate the restricted growth strings of length n once, recording
+    the block census of every size from 1 to n.
 
-    Enumerates restricted growth strings: position i may reuse any of the
-    block labels seen so far or open the next one, so every leaf of the
-    recursion is one distinct partition, with no duplicates to filter.
+    Position i may reuse any of the block labels seen so far or open the
+    next one, so every node of the recursion at depth k is one distinct
+    partition of a k-set, with no duplicates to filter; each node is counted
+    at its own depth.
     """
-    counts = [0] * (n + 1)
+    # counts[k * stride + m]: partitions of a k-set with m blocks, so a
+    # child node sits one stride on, and one more if it opens a block
+    stride = n + 1
+    leaves = n * stride
+    counts = [0] * (leaves + stride)
 
-    def extend(i, used):
-        if i == n:
-            counts[used] += 1
+    def extend(at, used):
+        counts[at] += 1
+        if at >= leaves:
             return
+        at += stride
         for _reused_label in range(used):
-            extend(i + 1, used)
-        extend(i + 1, used + 1)
+            extend(at, used)
+        extend(at + 1, used + 1)
 
     extend(0, 0)
-    return tuple(counts)
+    for k in range(1, n + 1):
+        _PARTITION_CENSUSES[k] = tuple(counts[k * stride:k * stride + k + 1])

@@ -27,7 +27,7 @@ from stirling.cli import (
     build_parser,
     run,
 )
-from stirling import engine
+from stirling import engine, oracle
 from stirling.engine import PerturbedCalculator, StirlingCalculator, StirlingKind, stirling
 from stirling.exact import dump_json
 from stirling.oracle import count_set_partitions
@@ -354,6 +354,25 @@ def test_oracle_check_checks_the_index_cap_before_enumerating(monkeypatch, capsy
     monkeypatch.setattr("stirling.cli.count_permutations_by_cycles", no_enumeration)
     assert run(["--index-cap", "4", "oracle-check", "--max", "5"]) == EXIT_LIMIT
     assert capsys.readouterr().err == "stirling: --max=5 exceeds the index cap of 4\n"
+
+
+def test_oracle_check_checks_the_index_cap_before_walking_partitions(monkeypatch, capsys):
+    def no_enumeration(n, m, budget):
+        raise AssertionError("oracle-check walked partitions past the index cap")
+
+    monkeypatch.setattr("stirling.cli.count_set_partitions", no_enumeration)
+    assert run(["--index-cap", "4", "oracle-check", "--max", "5"]) == EXIT_LIMIT
+    assert capsys.readouterr().err == "stirling: --max=5 exceeds the index cap of 4\n"
+
+
+@pytest.mark.parametrize("max_n", range(1, 6))
+def test_oracle_check_below_and_at_the_block(monkeypatch, capsys, max_n):
+    # sizes 1..4 meet their k! boundary inside Heap's first block of five
+    # positions, and 5 ends on it; each must come out of a fresh run
+    monkeypatch.setattr(oracle, "_PERMUTATION_CENSUSES", {})
+    monkeypatch.setattr(oracle, "_PARTITION_CENSUSES", {})
+    assert run(["oracle-check", "--max", str(max_n)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{max_n * (max_n + 1)} cases, all equal\n"
 
 
 @pytest.mark.parametrize("argv, code, err", [

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from stirling import oracle
+from stirling.cli import EXIT_OK, run
 from stirling.engine import StirlingKind, stirling
 from stirling.oracle import (
     BudgetExceededError,
     _heap_swaps,
     _permutation_cycle_census,
+    _set_partition_census,
     count_permutations_by_cycles,
     count_set_partitions,
 )
@@ -78,12 +81,72 @@ def test_permutation_census_matches_cycle_walk(n):
     assert _permutation_cycle_census(n) == walked_cycle_census(n)
 
 
+# levels 5..8 lie past the block of positions 0..4; the tuple is the one the
+# itertools walker gave before the oracle moved to Heap's swaps
+CYCLE_CENSUS_OF_NINE = (0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1)
+
+
 def test_permutation_census_of_nine_runs_past_the_block():
-    # levels 5..8 lie past the block of positions 0..4; the tuple is the one
-    # the itertools walker gave before the oracle moved to Heap's swaps
-    assert _permutation_cycle_census(9) == (
-        0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1
-    )
+    assert _permutation_cycle_census(9) == CYCLE_CENSUS_OF_NINE
+
+
+@pytest.fixture
+def fresh_censuses(monkeypatch):
+    monkeypatch.setattr(oracle, "_PERMUTATION_CENSUSES", {})
+    monkeypatch.setattr(oracle, "_PARTITION_CENSUSES", {})
+
+
+@pytest.fixture(scope="module")
+def independent_censuses():
+    cycles = {k: walked_cycle_census(k) for k in range(1, 9)}
+    cycles[9] = CYCLE_CENSUS_OF_NINE
+    blocks = {}
+    for k in range(1, 10):
+        counts = [0] * (k + 1)
+        for partition in insertion_partitions(k):
+            counts[len(partition)] += 1
+        blocks[k] = tuple(counts)
+    return cycles, blocks
+
+
+@pytest.mark.parametrize("order", [(9, 6, 5), (5, 6, 9)],
+                         ids=["largest-first", "ascending"])
+def test_one_run_records_the_census_of_every_smaller_size(
+        fresh_censuses, independent_censuses, order):
+    cycles, blocks = independent_censuses
+    for n in order:
+        _permutation_cycle_census(n)
+        _set_partition_census(n)
+    # sizes 5..9 were read off the runs' own visits, 1..4 are run on their own
+    assert sorted(oracle._PERMUTATION_CENSUSES) == [5, 6, 7, 8, 9]
+    assert sorted(oracle._PARTITION_CENSUSES) == list(range(1, 10))
+    for k in range(1, 10):
+        assert _permutation_cycle_census(k) == cycles[k]
+        assert _set_partition_census(k) == blocks[k]
+
+
+def test_oracle_check_enumerates_each_kind_once(fresh_censuses, monkeypatch, capsys):
+    runs = []
+
+    def counted(kind, enumerate_up_to):
+        def enumerate_and_count(n):
+            runs.append((kind, n))
+            enumerate_up_to(n)
+        return enumerate_and_count
+
+    monkeypatch.setattr(oracle, "_run_permutations",
+                        counted("permutations", oracle._run_permutations))
+    monkeypatch.setattr(oracle, "_walk_partitions",
+                        counted("partitions", oracle._walk_partitions))
+    assert run(["oracle-check", "--max", "8"]) == EXIT_OK
+    assert capsys.readouterr().out == "72 cases, all equal\n"
+    # the sizes below the block of five positions each get a run of their own
+    assert runs == [("permutations", 8), ("partitions", 8),
+                    ("permutations", 1), ("permutations", 2),
+                    ("permutations", 3), ("permutations", 4)]
+    runs.clear()
+    assert count_permutations_by_cycles(6, 3) == 225
+    assert runs == []
 
 
 @pytest.mark.parametrize("size", range(1, 6))
