@@ -25,24 +25,25 @@ Everything else but some point queries is read off a band, ``_band``: the
 rows from a start row up to (n, m), each kept only in the columns that
 reach (n, m) and stored nowhere. A point query,
 :meth:`StirlingCalculator.value`, reads row n if the memo holds it.
-Otherwise it takes the cheapest of four routes, each costed in band steps:
-the walk up the band from the memo's last row h, (n - h)(min(m, n - m) + 1)
-steps in one band of memory; for the second kind, the explicit sum
-S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n / m!, ``_second_kind_sum``, whose
-m + 1 powers count max(8, n // 8) steps each; for the first kind and
-n >= 32, the folded product, ``_folded``: the rising factorial
-x(x+1)...(x+n-1) with factors j and n-1-j paired into a polynomial in
-y = x(x+n-1), whose band of n // 2 rows to a window about min(m, n - m) / 2
-wide counts 3/2 (n // 2)(min(m, n - m) // 2 + 1); and for n >= 32, eq1/eq2's
-sum over diagonal d = n - m of the other kind, ``_converted``, whose band
-to (2d, d) counts 2 (d + 1)^2. Whatever the route, the query is
-charged the walk's steps, and once those charges since the memo last grew
-add up to the missing rows, the query fills them instead: one query stores
-nothing, and many on one calculator cost at most about twice the rows they
-read. The eq1/eq2 sweeps up to N read source diagonals 0..N-1, entries
-(d + k, k) with k <= d, off the band from row 0 to (2N - 2, N - 1), and a
-conversion at (n, m) reads diagonal d alone off the band to (2d, d), so
-neither stores a source row. The band, the fold and the row fill take the
+Otherwise ``_route`` picks the first cheapest of four routes, each costed
+in band steps: the walk up the band from the memo's last row h,
+(n - h)(min(m, n - m) + 1) steps in one band of memory; for the second kind,
+the explicit sum S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n / m!,
+``_second_kind_sum``, max(8, n // 8)(m + 1), though only odd j take a power
+and every j = o 2^a reuses o^n shifted; for the first kind and n >= 32, the
+folded product, ``_folded``: the rising factorial x(x+1)...(x+n-1) with
+factors j and n-1-j paired into a polynomial in y = x(x+n-1), whose band of
+n // 2 rows to a window about min(m, n - m) / 2 wide counts
+3/2 (n // 2)(min(m, n - m) // 2 + 1); and for n >= 32, eq1/eq2's sum over
+diagonal d = n - m of the other kind, ``_converted``, whose band to (2d, d)
+counts 2 (d + 1)^2. The query is charged the cost of the route it took, and
+once those charges since the memo last grew would top the entries of the
+missing rows, the query fills them instead: one query stores nothing, and
+many on one calculator cost, in charged steps, at most about twice the
+entries of the rows they read. The eq1/eq2 sweeps up to N read source
+diagonals 0..N-1, entries (d + k, k) with k <= d, off the band from row 0 to
+(2N - 2, N - 1), and a conversion at (n, m) reads diagonal d alone off the
+band to (2d, d), so neither stores a source row. The band, the fold and the row fill take the
 same step, ``_step``, and every read hands its entries out through one
 hook, ``_seen``, which is where a fault is injected: a summed, folded or
 converted query hands out its one result there, and a converted one reads
@@ -165,6 +166,43 @@ def _band(kind: StirlingKind, row: tuple, h: int, n: int, m: int):
         yield k, lo, band
 
 
+def _route(kind: StirlingKind, row: tuple, h: int, n: int, m: int, converts: bool):
+    # (cost in band steps, call returning entry (n, m)) of the first cheapest route
+    # there from row h of a stored kind, h < n, routes listed in the order that
+    # breaks ties. The walk up the band costs (n - h)(min(m, n - m) + 1).
+    # A second-kind entry costs m + 1 powers j^n by the explicit sum. Timed against
+    # walks from horizons 0 to 7n/8, a power cost as much as about 64 band steps at
+    # n = 512 and 250-375 at n = 2000 to 3000, where pow outgrows a step's add; at
+    # n <= 128, where a step's overhead dominates, the sum won from a few steps. So
+    # a power counts max(8, n // 8) steps; the floor keeps n <= 8 walking.
+    # A first-kind entry is summed off the folded product instead, a band of n // 2
+    # rows about half as wide as the walk's, counted as 3/2 of its entries. Timed for
+    # n = 33 to 2000, it won 2.1-3.4 times over walks from row 0 and came within
+    # 0.8-1.08 times of walks from horizons where the counts meet. The floor keeps
+    # n < 32 walking.
+    # Either kind's entry is also eq1/eq2's sum over diagonal d = n - m of the other
+    # kind, off the band to (2d, d); without converts it is not a route. Timed
+    # against walks from row 0 for n = 128 to 2000, the first kind broke even at
+    # d = n/2 and the second at d = n/2.25 to n/2, so the conversion counts
+    # 2 (d + 1)^2 steps. That tops every walk at m = 0; the floor keeps n < 32 off it.
+    # Each route looks its function up when it runs, and the walk holds one band
+    # row at a time.
+    def walk():
+        for _, _, band in _band(kind, row, h, n, m):
+            pass
+        return band[0]
+
+    routes = [((n - h) * (min(m, n - m) + 1), walk)]
+    if kind is StirlingKind.SECOND:
+        routes.append((max(8, n // 8) * (m + 1), lambda: _second_kind_sum(n, m)))
+    elif n >= 32:
+        routes.append((3 * (n // 2) * (min(m, n - m) // 2 + 1) // 2, lambda: _folded(n, m)))
+    if converts and n >= 32:
+        source = StirlingKind.FIRST_SIGNED if kind is StirlingKind.SECOND else StirlingKind.SECOND
+        routes.append((2 * (n - m + 1) ** 2, lambda: _converted(source, n, m)))
+    return min(routes, key=lambda route: route[0])
+
+
 class StirlingCalculator:
     """Point queries and memoized rows over both triangles.
 
@@ -180,22 +218,20 @@ class StirlingCalculator:
             StirlingKind.FIRST_SIGNED: [(1,)],
             StirlingKind.SECOND: [(1,)],
         }
-        # per stored kind: band steps walked since its memo last grew
+        # per stored kind: band steps charged off the memo since it last grew
         self._walked = dict.fromkeys(self._rows, 0)
         self._lock = threading.Lock()
 
     def value(self, kind: StirlingKind, n: int, m: int) -> int:
         """Stirling number of the given kind at (n, m); zero outside the
         triangle. Read from row n if the memo holds it, else, storing no row,
-        by the cheapest of four routes: the walk from the memo's last row h,
-        costing (n - h)(min(m, n - m) + 1) steps; for the second kind, the
-        explicit sum sum_j (-1)^(m-j) C(m, j) j^n / m!, costing
-        max(8, n // 8)(m + 1); for the first kind and n >= 32, the rising
-        factorial folded about its centre, costing
-        3/2 (n // 2)(min(m, n - m) // 2 + 1); and for n >= 32, the conversion
-        from diagonal d = n - m of the other kind, costing 2 (d + 1)^2. Once
-        such reads have been charged as many walk steps as the missing rows
-        hold, those rows are stored instead."""
+        by the cheapest of four routes, each costed in band steps as the
+        module docstring lists: the walk from the memo's last row, the
+        explicit sum (second kind), the folded rising factorial (first kind)
+        and the conversion from the other kind. Each such read is charged the
+        cost of the route it took; once the charges since the memo last grew
+        would top the entries of the missing rows, those rows are stored
+        instead."""
         check_index(n, self.index_cap, "n")
         check_index(m, self.index_cap, "m")
         if kind is not StirlingKind.FIRST_UNSIGNED:
@@ -204,12 +240,13 @@ class StirlingCalculator:
         return -signed if (n - m) % 2 else signed
 
     def _entry(self, kind: StirlingKind, n: int, m: int, converts: bool = True) -> int:
-        # entry (n, m) of a stored kind, zero when m > n: from the memo, or
-        # off it by the cheapest route until the walks since the memo last grew
-        # would take more steps than rows h+1..n hold, and then grown. Without
-        # converts, no route is the conversion. The walk takes no lock: rows only
-        # get appended, so row h stays row h while other threads grow the memo,
-        # and a lost update of the count only delays growth.
+        # entry (n, m) of a stored kind, zero when m > n: from the memo, or off
+        # it by _route's cheapest route, charged that route's cost, until the
+        # charges since the memo last grew would top the entries rows h+1..n
+        # hold, and then grown. Without converts, no route is the conversion.
+        # The routes take no lock: rows only get appended, so row h stays row h
+        # while other threads grow the memo, and a lost update of the charge
+        # only delays growth.
         rows = self._rows.get(kind)
         if rows is None:
             _stored(kind)  # raises: the memo holds every stored kind
@@ -217,40 +254,10 @@ class StirlingCalculator:
             return 0
         h = len(rows) - 1
         if n > h:
-            steps = (n - h) * (min(m, n - m) + 1)
-            walked = self._walked[kind] + steps
-            if walked <= (n - h) * (n + h + 3) // 2:
-                self._walked[kind] = walked
-                # a second-kind entry costs m + 1 powers j^n by the explicit sum.
-                # Timed against walks from horizons 0 to 7n/8, a power cost as
-                # much as about 64 band steps at n = 512 and 250-375 at n = 2000
-                # to 3000, where pow outgrows a step's add; at n <= 128, where a
-                # step's overhead dominates, the sum won from a few steps. So a
-                # power counts max(8, n // 8) steps; the floor keeps n <= 8 walking.
-                # A first-kind entry is summed off the folded product instead, a
-                # band of n // 2 rows about half as wide as the walk's, counted as
-                # 3/2 of its entries. Timed for n = 33 to 2000, it won 2.1-3.4 times
-                # over walks from row 0 and came within 0.8-1.08 times of walks
-                # from horizons where the counts meet. The floor keeps n < 32 walking.
-                if kind is StirlingKind.SECOND:
-                    direct, summed = _second_kind_sum, max(8, n // 8) * (m + 1)
-                elif n >= 32:
-                    direct, summed = _folded, 3 * (n // 2) * (min(m, n - m) // 2 + 1) // 2
-                else:
-                    direct, summed = None, steps
-                # either kind's entry is also eq1/eq2's sum over diagonal d = n - m of
-                # the other kind, off the band to (2d, d). Timed against walks from
-                # row 0 for n = 128 to 2000, the first kind broke even at d = n/2 and
-                # the second at d = n/2.25 to n/2, so the conversion counts 2 (d + 1)^2
-                # steps. That tops every walk at m = 0; the floor keeps n < 32 off it.
-                if converts and n >= 32 and 2 * (n - m + 1) ** 2 < min(steps, summed):
-                    source, = self._rows.keys() - {kind}  # the other stored kind
-                    return self._seen(kind, n, m, (_converted(source, n, m),))[0]
-                if summed < steps:
-                    return self._seen(kind, n, m, (direct(n, m),))[0]
-                for _, _, band in _band(kind, rows[h], h, n, m):
-                    pass
-                return self._seen(kind, n, m, band)[0]
+            cost, route = _route(kind, rows[h], h, n, m, converts)
+            if self._walked[kind] + cost <= (n - h) * (n + h + 3) // 2:
+                self._walked[kind] += cost
+                return self._seen(kind, n, m, (route(),))[0]
             self._grow(rows, kind, n)
         return self._seen(kind, n, m, rows[n][m:m + 1])[0]
 
@@ -402,10 +409,19 @@ def _conversion_sum(n: int, column, row, diagonal) -> int:
 
 
 def _second_kind_sum(n: int, m: int) -> int:
-    # S(n, m) = sum_{j=0}^{m} (-1)^(m-j) C(m, j) j^n / m!, exactly: m + 1 powers,
-    # each signed binomial stepped from the one before it
-    binomials = accumulate(range(1, m + 1), lambda c, j: -c * (m + 1 - j) // j, initial=(-1) ** m)
-    return sum(map(mul, binomials, map(pow, range(m + 1), repeat(n)))) // factorial(m)
+    # S(n, m) = sum_{j=0}^{m} (-1)^(m-j) C(m, j) j^n / m!, exactly, each signed
+    # binomial stepped from the one before it. Only odd j = o take a power: o^n
+    # serves every j = o 2^a <= m, as o^n shifted left by a n bits, and one power
+    # is held at a time. The j = 0 term is 0^n, 1 when n = 0.
+    binomials = list(accumulate(range(1, m + 1), lambda c, j: -c * (m + 1 - j) // j,
+                                initial=(-1) ** m))
+    total = binomials[0] if n == 0 else 0
+    for odd in range(1, m + 1, 2):
+        power, shift, j = pow(odd, n), 0, odd
+        while j <= m:
+            total += binomials[j] * power << shift
+            j, shift = 2 * j, shift + n
+    return total // factorial(m)
 
 
 def _folded(n: int, m: int) -> int:

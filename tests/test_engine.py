@@ -269,6 +269,77 @@ def test_folded_queries_match_whole_rows(n, crossover, monkeypatch):
         abs(v) for v in whole[::7]]
 
 
+def nested_route(kind, h, n, m, converts):
+    # the route value() took to (n, m) from memo row h when each branch of
+    # _entry held its own comparison: kept here as the reference for _route
+    steps = (n - h) * (min(m, n - m) + 1)
+    if kind is SECOND:
+        direct, summed = "summed", max(8, n // 8) * (m + 1)
+    elif n >= 32:
+        direct, summed = "folded", 3 * (n // 2) * (min(m, n - m) // 2 + 1) // 2
+    else:
+        direct, summed = None, steps
+    if converts and n >= 32 and 2 * (n - m + 1) ** 2 < min(steps, summed):
+        return "converted", 2 * (n - m + 1) ** 2
+    if summed < steps:
+        return direct, summed
+    return "walked", steps
+
+
+@pytest.mark.parametrize("h", [0, 64, 200])
+def test_point_queries_take_the_route_the_nested_rule_picks(h, monkeypatch):
+    # _route lists every route once and takes the first cheapest: each query off
+    # the memo runs the route, and is charged the cost, that the nested rule gives
+    calc = StirlingCalculator()
+    for kind in (FIRST, SECOND):
+        calc.row(kind, h)
+    whole = StirlingCalculator()
+    summed = summed_queries(monkeypatch)
+    converted = converted_queries(monkeypatch)
+    folded = folded_queries(monkeypatch)
+    bands = []
+    band = engine._band
+
+    def recording(stored, row, h, n, m):
+        bands.append((stored, n, m))
+        return band(stored, row, h, n, m)
+
+    monkeypatch.setattr(engine, "_band", recording)
+
+    def check(kind, n, m, converts):
+        for queries in (summed, converted, folded, bands):
+            queries.clear()
+        calc._walked[kind] = 0
+        assert calc._entry(kind, n, m, converts) == whole.row(kind, n)[m], (kind, n, m)
+        # a walk reads a band of the queried kind, a conversion one of the other
+        walked = [(k, j) for stored, k, j in bands if stored is kind]
+        taken = {"summed": summed, "converted": converted, "folded": folded, "walked": walked}
+        route, cost = nested_route(kind, h, n, m, converts)
+        assert {name: queries for name, queries in taken.items() if queries} == {
+            route: [(n, m)]}, (kind, n, m, converts)
+        assert calc._walked[kind] == cost
+        assert len(calc._rows[kind]) == h + 1
+
+    # a tie of each pair of routes that meets from this horizon: walk and sum or
+    # fold, walk and conversion, sum or fold and conversion; the first listed wins
+    ties = {0: [(SECOND, 8, 0), (SECOND, 33, 24), (FIRST, 32, 27)],
+            64: [(SECOND, 73, 0), (FIRST, 102, 1), (SECOND, 66, 66), (FIRST, 66, 66),
+                 (SECOND, 205, 161), (FIRST, 128, 105)],
+            200: [(SECOND, 228, 0), (SECOND, 202, 202), (FIRST, 202, 202)]}
+    for kind, n, m in ties[h]:
+        check(kind, n, m, True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(strategies.sampled_from([FIRST, SECOND]),
+           strategies.integers(h + 1, 300).flatmap(
+               lambda n: strategies.tuples(strategies.just(n), strategies.integers(0, n))),
+           strategies.booleans())
+    def drawn(kind, entry, converts):
+        check(kind, *entry, converts)
+
+    drawn()
+
+
 def test_perturbed_offset_shows_through_a_folded_query_once(monkeypatch):
     healthy = StirlingCalculator()
     target = (301, 100)
@@ -300,8 +371,8 @@ def test_the_explicit_sum_serves_the_second_kind_alone(monkeypatch):
         calc = StirlingCalculator()
         calc.row(SECOND, h)
         assert calc.value(SECOND, 454, 133) == rows[SECOND][133]
-        # charged exactly the steps the walk would have taken
-        assert calc._walked[SECOND] == (454 - h) * (133 + 1)
+        # charged the cost of the route it took: 134 powers at 454 // 8 steps each
+        assert calc._walked[SECOND] == 56 * 134 == 7504
         assert len(calc._rows[SECOND]) == h + 1
     monkeypatch.undo()
     summed = summed_queries(monkeypatch)
@@ -321,6 +392,38 @@ def test_perturbed_offset_shows_through_the_explicit_sum(monkeypatch):
     assert summed == list(expected)
 
 
+def test_the_explicit_sum_matches_the_recurrence_rows():
+    # one power per odd j, shifted for every j = o 2^a; the j = 0 term is 0^0 = 1
+    # at n = 0 alone, and the sum vanishes past the diagonal
+    for n, row in enumerate(build_triangle(SECOND, 80).rows):
+        assert [engine._second_kind_sum(n, m) for m in range(n + 3)] == [*row, 0, 0], n
+
+
+def test_the_explicit_sum_matches_whole_rows_at_drawn_points():
+    calc = StirlingCalculator()
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategies.integers(0, 700).flatmap(
+        lambda n: strategies.tuples(strategies.just(n), strategies.integers(0, n))))
+    def check(entry):
+        n, m = entry
+        assert engine._second_kind_sum(n, m) == calc.row(SECOND, n)[m], entry
+
+    check()
+
+
+def test_summed_queries_of_one_row_are_charged_their_powers():
+    # every 10th entry of row 600 is summed, at 75 (m + 1) steps each, so the
+    # charges top the 600 * 603 // 2 entries of rows 1..600 on the 23rd query,
+    # m = 220, and not on the 9th, as the walk's 600 (m + 1) steps would
+    calc = StirlingCalculator()
+    summed = {}
+    for query, m in enumerate(range(0, 601, 10), 1):
+        summed[m] = calc.value(SECOND, 600, m)
+        assert len(calc._rows[SECOND]) == (1 if query < 23 else 601), m
+    assert summed == {m: calc.row(SECOND, 600)[m] for m in summed}
+
+
 def test_a_converted_query_walks_no_band_to_its_row(monkeypatch):
     expected = {kind: StirlingCalculator().row(kind, 400)[390] for kind in (FIRST, SECOND)}
     bands = []
@@ -336,8 +439,9 @@ def test_a_converted_query_walks_no_band_to_its_row(monkeypatch):
     assert calc.value(SECOND, 400, 390) == expected[SECOND]
     # each reads diagonal 10 of the other kind off the band to (20, 10)
     assert bands == [(SECOND, 0, 20, 10), (FIRST, 0, 20, 10)]
-    # charged the walk's steps, so repeated queries still grow the memo
-    assert calc._walked == {FIRST: 400 * 11, SECOND: 400 * 11}
+    # charged the cost of the route it took, 2 (d + 1)^2 for d = 10, so
+    # repeated queries still grow the memo
+    assert calc._walked == {FIRST: 2 * 11 ** 2, SECOND: 2 * 11 ** 2}
 
 
 @pytest.mark.parametrize("kind, source", [(FIRST, SECOND), (SECOND, FIRST)])
