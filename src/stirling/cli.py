@@ -29,6 +29,7 @@ re-serialize byte for byte.
 import functools
 import os
 import sys
+from collections import deque
 from itertools import chain, zip_longest
 from types import SimpleNamespace
 
@@ -74,8 +75,8 @@ def _render_table(rows) -> str:
 
 
 def _cmd_triangle(args, calc) -> int:
-    # every format is written a row at a time as the rows stream off the memo,
-    # which fills to row N before the first byte
+    # every format is written a row at a time as _stream steps the rows, storing
+    # none of them; the table steps them twice, first for its widths
     check_index(args.rows, calc.index_cap, "--rows")
     kind = StirlingKind(args.kind)
     rows = calc._stream(kind, args.rows)
@@ -87,7 +88,7 @@ def _cmd_triangle(args, calc) -> int:
         # columns right-aligned to their widest cells, all in the last two rows:
         # |s(n, m)| and S(n, m) never decrease down column m >= 1, a minus sign
         # shows only on alternate rows and column 0 is 1 wide
-        last = calc._stream(kind, args.rows, max(args.rows - 1, 0))
+        last = deque(calc._stream(kind, args.rows), maxlen=2)
         widths = [max(len(str(v)) for v in column)
                   for column in zip_longest(*last, fillvalue=0)]
         pieces = (" ".join(map(str.rjust, map(str, row), widths)) + "\n" for row in rows)

@@ -15,12 +15,14 @@ never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
 N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
 no synchronization once a row exists. Entries are read two ways. Whole rows
-come from :meth:`StirlingCalculator.row`, which fills the memo: the sweeps
-fetch each row they need once, and triangles stream theirs off it one row at
-a time, the unsigned rows sign-flipped as they go, into a snapshot or straight
-into CSV or JSON text, ``_csv_lines`` and ``_json_lines``. Every other table a
-sweep holds, bar lists of N ints, comes from ``_product``, the rows of s·S
-and S·s, or ``_conversion_rows``, eq1/eq2's Pascal weights and diagonals.
+come from :meth:`StirlingCalculator.row`, which fills the memo, for readers
+that come back to rows. Triangles and the other sweeps read rows 0..N once
+each off ``_stream``, which steps them off a band where the memo ends and
+stores none; triangles write theirs, the unsigned rows sign-flipped as they
+go, into a snapshot or straight into CSV or JSON text, ``_csv_lines`` and
+``_json_lines``. Every other table a sweep holds, bar lists of N ints, comes
+from ``_product``, the rows of s·S and S·s, or ``_conversion_rows``, eq1/eq2's
+Pascal weights and diagonals.
 Everything else but some point queries is read off a band, ``_band``: the
 rows from a start row up to (n, m), each kept only in the columns that
 reach (n, m) and stored nowhere. A point query,
@@ -57,7 +59,7 @@ whole-triangle consistency check.
 
 import enum
 import threading
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from math import comb, factorial
 from operator import add, mul, sub
 
@@ -265,9 +267,9 @@ class StirlingCalculator:
         """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
         n + 1 entries, built on first use.
 
-        The read path of everything but :meth:`value`: triangles,
-        conversions, sweeps and polynomial builders read entries out of
-        these rows.
+        The read path of readers that come back to rows: the products
+        and the orthogonality check. Triangles and the other sweeps read
+        rows 0..N once each off ``_stream``, which stores none.
         """
         rows = self._rows.get(kind)
         if rows is None:
@@ -278,9 +280,9 @@ class StirlingCalculator:
 
     def _seen(self, kind: StirlingKind, n: int, lo: int, entries: tuple) -> tuple:
         # columns lo.. of row n of a stored kind as every read hands them out:
-        # row(), value()'s memo read, band, explicit sum, fold and conversion, and the
-        # band rows that _conversion_rows and _convert read. The memo and the
-        # bands keep rows as built.
+        # row(), _stream, value()'s memo read, band, explicit sum, fold and
+        # conversion, and the band rows that _conversion_rows and _convert read.
+        # The memo and the bands keep rows as built.
         return entries
 
     def _grow(self, rows: list, kind: StirlingKind, n: int) -> None:
@@ -296,14 +298,17 @@ class StirlingCalculator:
         check_index(max_row, self.index_cap, "max_row")
         return Triangle(kind, self._stream(kind, max_row))
 
-    def _stream(self, kind: StirlingKind, top: int, first: int = 0):
-        # rows first..top of any kind as row() hands them out, after filling the
-        # memo to row top, so a request too big for memory fails before it yields
-        # anything; first-unsigned flips the signed rows' signs one row at a time
+    def _stream(self, kind: StirlingKind, top: int):
+        # rows 0..top of any kind as row() hands them out, storing none: the
+        # memo's rows while it holds them, then the rest stepped off the band
+        # from its last row h to (2 top, top), whose rows up to top are whole;
+        # first-unsigned flips the signed rows' signs one row at a time
         stored = StirlingKind.FIRST_SIGNED if kind is StirlingKind.FIRST_UNSIGNED else kind
-        self.row(stored, top)
-        for n in range(first, top + 1):
-            row = self.row(stored, n)
+        rows = self._rows[stored]
+        h = min(len(rows) - 1, top)
+        stepped = (band for _, _, band in _band(stored, rows[h], h, 2 * top, top))
+        for n, row in zip(range(top + 1), chain(rows[:h], stepped)):
+            row = self._seen(stored, n, 0, row)
             if kind is not stored:
                 row = tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
             yield row
@@ -335,10 +340,10 @@ class PerturbedCalculator(StirlingCalculator):
     """Calculator whose one stored entry comes back offset by delta.
 
     The fault lives in one hook, ``_seen``, which every read goes through:
-    the copy of its row handed out by :meth:`row`, the entry :meth:`value`
-    reads by any route (its conversion reads the source as built), and each
-    band row that the eq1/eq2 sweeps and the public conversions read their
-    source diagonals from. The memo and the bands keep their rows as
+    the copy of its row handed out by :meth:`row` or a stream of rows, the
+    entry :meth:`value` reads by any route (its conversion reads the source
+    as built), and each band row that the eq1/eq2 sweeps and the public
+    conversions read their source diagonals from. The memo and the bands keep their rows as
     built, so rows built later by the recurrence are the healthy ones and
     the fault never spreads past its own entry.
 

@@ -30,12 +30,14 @@ read row m of s·S from coefficient 1, and eq12/eq15 row j of S·s.
 
 Each first-kind/second-kind pair is one function parametrized by which kind
 sits outside and which inside, behind the public ``*_first``/``*_second``
-names. A sweep reads each row once and builds what its sums share once: inner
-row sums or column 1. Every other table comes from an engine function that
-receives the calculator: the rows of S·s (eq3, eq12, eq15) and s·S (eq4,
-eq11, eq13) from ``engine._product``, which the polynomial builders use too,
-and eq1/eq2's converted rows from ``engine._conversion_rows``, which walks
-the source diagonals as a band from row 0 and so stores no source row.
+names. The row relations, their scalar checks and eq1/eq2's direct side read
+rows 0..N once each off the calculator's row streams, which store no row, and
+grow what their sums share, inner row sums or column 1, an inner row at a time.
+Every other table comes from an engine function that receives the calculator:
+the rows of S·s (eq3, eq12, eq15) and s·S (eq4, eq11, eq13) from
+``engine._product``, which the polynomial builders use too, and eq1/eq2's
+converted rows from ``engine._conversion_rows``, which walks the source
+diagonals as a band from row 0 and so stores no source row.
 ``run_all`` builds each product once, on its first read, and hands the same
 rows to its three readers, so eq3's and eq4's ``elapsed_ms`` carry the
 products' cost. Each inner sum is then one dot product of plain ints.
@@ -43,7 +45,9 @@ products' cost. Each inner sum is then one dot product of plain ints.
 
 import enum
 import time
+from collections import deque
 from functools import cache
+from itertools import islice
 from operator import mul
 
 from .engine import _SHARED, StirlingKind, _conversion_rows, _product
@@ -139,37 +143,43 @@ def check_orthogonality(j: int, k: int, calc=None, mirrored: bool = False):
     return lhs, 1 if j == k else 0
 
 
-def _inner_sums(rows):
-    # sum_{k=1}^{j} inner(j, k) for each row j
-    return [sum(row[1:]) for row in rows]
+# table entry j comes from inner row j alone, and entry 0 is 0: row 0 has no
+# column past 0, so the j = 0 terms add nothing
+def _unit_sum(outer_row, inner_row, table):
+    return sum(map(mul, outer_row, table)), 1
 
 
-def _unit_sum(outer_row, inner_row, sums):
-    return sum(map(mul, outer_row[1:], sums[1:])), 1
+def _row_relation(outer_row, inner_row, table):
+    return -sum(map(mul, outer_row[:-1], table)), sum(inner_row[1:-1])
 
 
-def _row_relation(outer_row, inner_row, sums):
-    return -sum(map(mul, outer_row[1:-1], sums[1:])), sum(inner_row[1:-1])
+def _deriv_relation(outer_row, inner_row, table):
+    return inner_row[1], -sum(map(mul, outer_row[:-1], table))
 
 
-def _deriv_relation(outer_row, inner_row, column):
-    return inner_row[1], -sum(map(mul, outer_row[1:-1], column))
+# (evaluate(outer row m, inner row m, table), table entry of an inner row, smallest m):
+# sum_{k=1}^{j} inner(j, k), or inner(j, 1)
+_UNIT_SUM = (_unit_sum, lambda row: sum(row[1:]), 1)
+_ROW_RELATION = (_row_relation, lambda row: sum(row[1:]), 2)
+_DERIV_RELATION = (_deriv_relation, lambda row: sum(row[1:2]), 2)
 
 
-# (evaluate(outer row m, inner row m, table), table of inner rows, smallest m)
-_UNIT_SUM = (_unit_sum, _inner_sums, 1)
-_ROW_RELATION = (_row_relation, _inner_sums, 2)
-_DERIV_RELATION = (_deriv_relation, lambda rows: [row[1] for row in rows[1:]], 2)
+def _relation_rows(entry, outer, inner, top, calc):
+    # (outer row m, inner row m, table) for m = 0..top off the zipped streams of
+    # both kinds, the table growing one inner row at a time to entries 0..m
+    table = []
+    for outer_row, inner_row in zip(calc._stream(outer, top), calc._stream(inner, top)):
+        table.append(entry(inner_row))
+        yield outer_row, inner_row, table
 
 
 def _check(relation, name, outer, inner, index, calc):
     calc = calc or _SHARED
-    evaluate, table, start = relation
+    evaluate, entry, start = relation
     check_index(index, calc.index_cap, name)
     if index < start:
         raise ValueError(f"{name} must be at least {start}, got {index}")
-    rows = [calc.row(inner, n) for n in range(index + 1)]
-    return evaluate(calc.row(outer, index), rows[index], table(rows))
+    return evaluate(*deque(_relation_rows(entry, outer, inner, index, calc), maxlen=1)[0])
 
 
 def check_unit_sum_first(m: int, calc=None) -> int:
@@ -216,8 +226,10 @@ def check_deriv_relation_first(j: int, calc=None):
 
 def _sweep_conversion(target, source):
     def sweep(max_index, calc, product):
-        for n, converted in enumerate(_conversion_rows(calc, source, max_index), 1):
-            direct = calc.row(target, n)[1:]
+        converted_rows = _conversion_rows(calc, source, max_index)
+        direct_rows = islice(calc._stream(target, max_index), 1, None)
+        for n, (converted, direct) in enumerate(zip(converted_rows, direct_rows), 1):
+            direct = direct[1:]
             if converted != direct:
                 for m, lhs, rhs in zip(range(1, n + 1), converted, direct):
                     if lhs != rhs:
@@ -240,13 +252,12 @@ def _sweep_orthogonality(outer, inner):
 
 
 def _sweep_rows(relation, name, outer, inner):
-    evaluate, table, start = relation
+    evaluate, entry, start = relation
 
     def sweep(max_index, calc, product):
-        rows = [calc.row(inner, n) for n in range(max_index + 1)]
-        hoisted = table(rows)
-        for index in range(start, max_index + 1):
-            lhs, rhs = evaluate(calc.row(outer, index), rows[index], hoisted)
+        rows = enumerate(_relation_rows(entry, outer, inner, max_index, calc))
+        for index, read in islice(rows, start, None):
+            lhs, rhs = evaluate(*read)
             if lhs != rhs:
                 yield Counterexample({name: index}, lhs, rhs)
 

@@ -729,12 +729,13 @@ def _limit_address_space(mib=400):
      f"value: {-factorial(999)}\nrecurrence: {-factorial(999)}\nagree: yes\n"),
     (["convert", "--direction", "s2-from-s1", "1000", "1"], EXIT_OK,
      "value: 1\nrecurrence: 1\nagree: yes\n"),
-    (["triangle", "--kind", "second", "--rows", "3000", "--format", "csv"], EXIT_LIMIT, ""),
-], ids=["second", "first", "first-unsigned", "s1-from-s2", "s2-from-s1", "triangle"])
+    (["verify", "--identity", "all", "--max", "3000"], EXIT_LIMIT, ""),
+], ids=["second", "first", "first-unsigned", "s1-from-s2", "s2-from-s1", "verify-all"])
 def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, out):
     # a point query or conversion walks one band of columns and stores no
-    # row, so it finishes in 400 MiB; a whole triangle of 3000 rows cannot,
-    # and must say so in one line with exit 3, not a traceback with exit 1
+    # row, so it finishes in 400 MiB; the whole catalog to 3000, whose tables
+    # and products hold whole triangles, cannot, and must say so in one line
+    # with exit 3, not a traceback with exit 1
     proc = subprocess.run(
         [sys.executable, "-m", "stirling.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -749,12 +750,42 @@ def test_oversized_requests_finish_or_exit_3_under_a_memory_limit(argv, code, ou
 
 
 @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("argv, count, last", [
+    (["verify", "--identity", "eq17", "--max", "800"], 3,
+     lambda: "1 identity checked, all passed\n"),
+    (["triangle", "--kind", "second", "--rows", "600", "--format", "csv"], 601,
+     lambda: ",".join(map(str, StirlingCalculator().row(StirlingKind.SECOND, 600))) + "\n"),
+], ids=["eq17", "triangle"])
+def test_one_pass_requests_run_in_48_mib(tmp_path, argv, count, last):
+    # a row relation and a triangle read rows 0..N once each off streams that
+    # store no row, so they run in 48 MiB, where filling the memo to row N
+    # exits 3; stdout goes to a file, read back a line at a time
+    text = tmp_path / "out.txt"
+    with text.open("w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stirling.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=functools.partial(_limit_address_space, 48),
+            timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    with text.open() as lines:
+        for lines_read, final in enumerate(lines, 1):
+            pass
+    text.unlink()
+    assert (lines_read, final) == (count, last())
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
 @pytest.mark.parametrize("kind, fmt", [
     ("second", "table"), ("second", "csv"), ("second", "json"), ("first-unsigned", "csv"),
 ])
 def test_every_triangle_format_writes_600_rows_in_200_mib(tmp_path, kind, fmt):
-    # every format is written row by row, so the command holds the memo and one
-    # row's text, not the whole text (csv and json took more than 200 MiB when
+    # every format is written row by row, so the command holds a row or two and
+    # one row's text, not the whole text (csv and json took more than 200 MiB when
     # they were rendered whole); stdout goes to a file, read back a line at a
     # time, so neither process holds the whole text
     text = tmp_path / "triangle.txt"

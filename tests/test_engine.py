@@ -512,7 +512,7 @@ def test_memoization_is_observationally_transparent():
     fresh = StirlingCalculator()
     before = fresh.value(SECOND, 50, 25)
     bulk = StirlingCalculator()
-    bulk.triangle(SECOND, 60)
+    bulk.row(SECOND, 60)
     after = bulk.value(SECOND, 50, 25)
     assert before == after
     # and repeated queries on the same calculator agree with themselves
@@ -720,10 +720,10 @@ def test_triangle_rejects_inexact_entries(rows):
         Triangle(SECOND, rows)
 
 
-def test_triangle_is_a_frozen_value_sharing_the_memo_rows():
+def test_triangle_is_a_frozen_value_equal_to_the_memo_rows():
     calc = StirlingCalculator()
     tri = calc.triangle(SECOND, 5)
-    assert tri.rows[3] is calc.row(SECOND, 3)
+    assert tri.rows == tuple(calc.row(SECOND, n) for n in range(6))
     twin = Triangle(SECOND, [list(row) for row in tri.rows])
     assert twin == tri and twin is not tri
     assert hash(twin) == hash(tri) == hash((SECOND, tri.rows))
@@ -752,8 +752,8 @@ def test_json_export_is_decimal_strings_and_round_trips():
 
 def test_concurrent_point_queries_match_sequential():
     reference = StirlingCalculator()
-    reference.triangle(FIRST, 39)
-    reference.triangle(SECOND, 39)
+    reference.row(FIRST, 39)
+    reference.row(SECOND, 39)
     tasks = [
         (kind, n, m)
         for kind in (FIRST, SECOND, UNSIGNED)
@@ -773,8 +773,8 @@ def test_concurrent_point_queries_match_sequential():
 def test_concurrent_walks_and_row_growth_match_sequential():
     # walks read the last memoized row while other threads append rows
     reference = StirlingCalculator()
-    reference.triangle(FIRST, 120)
-    reference.triangle(SECOND, 120)
+    reference.row(FIRST, 120)
+    reference.row(SECOND, 120)
     tasks = [(kind, n, m) for kind in (FIRST, SECOND, UNSIGNED)
              for n in range(8, 121, 8) for m in (1, n // 3, n - 1)]
     expected = {t: reference.value(*t) for t in tasks}

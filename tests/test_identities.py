@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import methodcaller
 
 import pytest
 
@@ -329,15 +330,44 @@ def test_a_conversion_sweep_builds_one_pascal_table_and_walks_one_band(monkeypat
     monkeypatch.setattr(engine, "_pascal", counted_pascal)
     monkeypatch.setattr(engine, "_band", counted_band)
     calc = make()
-    # the band from row 0 to (22, 11) carries diagonals 0..11 of the source kind
-    for identity, source in ((IdentityId.CONVERSION_1, SECOND), (IdentityId.CONVERSION_2, FIRST)):
+    # the band from row 0 to (22, 11) carries diagonals 0..11 of the source kind,
+    # and the target's stream steps its direct rows 0..12 off the band to (24, 12)
+    for identity, source, target in ((IdentityId.CONVERSION_1, SECOND, FIRST),
+                                     (IdentityId.CONVERSION_2, FIRST, SECOND)):
         calls.clear()
         run_identity(identity, 12, calc)
-        assert calls == [("pascal", 12), ("band", source, 0, 22, 11)], identity
+        assert calls == [("pascal", 12), ("band", source, 0, 22, 11),
+                         ("band", target, 0, 24, 12)], identity
     calls.clear()
     run_all(12, calc)
-    assert calls == [("pascal", 12), ("band", SECOND, 0, 22, 11),
-                     ("pascal", 12), ("band", FIRST, 0, 22, 11)]
+    # after eq3/eq4 fill the memo to row 12, the row sweeps' streams step no row
+    assert calls[:6] == [("pascal", 12), ("band", SECOND, 0, 22, 11), ("band", FIRST, 0, 24, 12),
+                         ("pascal", 12), ("band", FIRST, 0, 22, 11), ("band", SECOND, 0, 24, 12)]
+    assert set(calls[6:]) == {("band", FIRST, 12, 24, 12), ("band", SECOND, 12, 24, 12)}
+
+
+ONE_PASS_READERS = {
+    "triangle-second": methodcaller("triangle", SECOND, 40),
+    "triangle-first-unsigned": methodcaller("triangle", StirlingKind.FIRST_UNSIGNED, 40),
+    **{identity.value: partial(run_identity, identity, 40) for identity in (
+        IdentityId.CONVERSION_1, IdentityId.CONVERSION_2,
+        IdentityId.UNIT_SUM_5, IdentityId.UNIT_SUM_6,
+        IdentityId.ROW_RELATION_14, IdentityId.ROW_RELATION_16,
+        IdentityId.DERIV_RELATION_17, IdentityId.DERIV_RELATION_18)},
+    **{check.__name__: partial(check, 40) for check in (
+        check_unit_sum_first, check_unit_sum_second,
+        check_row_relation_first, check_row_relation_second,
+        check_deriv_relation_first, check_deriv_relation_second)},
+}
+
+
+@pytest.mark.parametrize("read", list(ONE_PASS_READERS.values()), ids=list(ONE_PASS_READERS))
+def test_one_pass_readers_store_no_row(read):
+    # triangles, the row-local and conversion sweeps and the scalar relation
+    # checks read rows 0..N once each off streams, so neither memo grows
+    calc = StirlingCalculator()
+    read(calc)
+    assert [len(calc._rows[kind]) for kind in (FIRST, SECOND)] == [1, 1]
 
 
 def test_report_json_schema_and_round_trip():
@@ -514,14 +544,26 @@ def naive_counterexamples(identity, top, calc):
 def test_sweeps_report_exactly_the_naive_counterexamples(kind, n, m, delta, top):
     # the row-level sweeps must change no verdict and no counterexample
     faulty = PerturbedCalculator(kind, n, m, delta=delta)
+    expected = {}
     for report in run_all(top, faulty):
         found = [(ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
-        assert found == naive_counterexamples(report.id, top, faulty), report.id
+        expected[report.id] = naive_counterexamples(report.id, top, faulty)
+        assert found == expected[report.id], report.id
         if top > 12 and report.id in (
             IdentityId.CONVERSION_1, IdentityId.CONVERSION_2,
             IdentityId.BASIS_POLY_11, IdentityId.RESIDUAL_13,
         ):
             assert found, report.id
+    # and across the seam of a stream: memo rows 0..h, then rows stepped off
+    # the band, with the fault in row h + 1, h or h - 1
+    for h in range(max(n - 1, 0), n + 2):
+        for identity in IdentityId:
+            warmed = PerturbedCalculator(kind, n, m, delta=delta)
+            warmed.row(FIRST, h)
+            warmed.row(SECOND, h)
+            report = run_identity(identity, top, warmed)
+            found = [(ce.indices, ce.lhs, ce.rhs) for ce in report.counterexamples]
+            assert found == expected[identity], (h, identity)
 
 
 @pytest.mark.parametrize("kind", [FIRST, SECOND])
