@@ -22,7 +22,15 @@ stores none; triangles write theirs, the unsigned rows sign-flipped as they
 go, into a snapshot or straight into CSV or JSON text, ``_csv_lines`` and
 ``_json_lines``. Every other table a sweep holds, bar lists of N ints, comes
 from ``_product``, the rows of s·S and S·s, or ``_conversion_rows``, eq1/eq2's
-Pascal weights and diagonals.
+Pascal weights and diagonals. ``_product`` builds each product row from the
+last by the product's own recurrence, P(m+1, k) = P(m, k-1) + (k - m) P(m, k)
+for s·S and P(m, k-1) for S·s, plus two sparse corrections where a row as
+read differs from its kind's recurrence applied to the row before it. That
+is exactly sum_l outer(m, l) inner(l, k) for any lower-triangular rows, so a
+fault reads as it would in the dot products. On healthy rows every
+correction is zero, and the product costs O(N^2) small-int steps after one
+pass that checks each row against its recurrence, where the dot products
+took N^3/6 big-int products.
 Everything else but some point queries is read off a band, ``_band``: the
 rows from a start row up to (n, m), each kept only in the columns that
 reach (n, m) and stored nowhere. A point query,
@@ -45,11 +53,13 @@ many on one calculator cost, in charged steps, at most about twice the
 entries of the rows they read. The eq1/eq2 sweeps up to N read source
 diagonals 0..N-1, entries (d + k, k) with k <= d, off the band from row 0 to
 (2N - 2, N - 1), and a conversion at (n, m) reads diagonal d alone off the
-band to (2d, d), so neither stores a source row. The band, the fold and the row fill take the
-same step, ``_step``, and every read hands its entries out through one
-hook, ``_seen``, which is where a fault is injected: a summed, folded or
-converted query hands out its one result there, and a converted one reads
-its source diagonal as built.
+band to (2d, d), so neither stores a source row. The band, the fold and the
+row fill take the same step, ``_step``; the product writes its recurrences
+out on its own, so that rows built wrong by ``_step`` fail its readers.
+Every read hands its entries out through one hook, ``_seen``, which is
+where a fault is injected: a summed, folded or converted query hands out
+its one result there, and a converted one reads its source diagonal as
+built.
 
 The inter-kind conversions rebuild either kind from the other through
 alternating binomial-weighted sums over the opposite triangle; they must
@@ -473,12 +483,50 @@ def _columns(rows, width: int) -> list:
 
 
 def _product(calc: StirlingCalculator, outer: StirlingKind, inner: StirlingKind,
-             top: int, first: int = 0) -> list:
-    # rows first..top of outer·inner, from the columns of inner rows 0..top: entry
-    # (m, k) = sum_{l=k}^{m} outer(m, l) inner(l, k), k = 0..m (zero past m)
-    columns = _columns([calc.row(inner, n) for n in range(top + 1)], top + 1)
-    rows = (calc.row(outer, m) for m in range(first, top + 1))
-    return [[sum(map(mul, row[k:], columns[k])) for k in range(len(row))] for row in rows]
+             top: int) -> list:
+    # rows 0..top of outer·inner, entry (m, k) = sum_{l=k}^{m} outer(m, l) inner(l, k),
+    # k = 0..m (zero past m), each row built from the last by the product's own
+    # recurrence. With outer(m+1, l) = outer(m, l-1) + a_l outer(m, l) + r_{m+1}(l) and
+    # inner(l+1, k) = inner(l, k-1) + b_k inner(l, k) + rho_{l+1}(k), where a and b
+    # are each kind's weights and r and rho what the rows as read add to them,
+    #   P(m+1, k) = P(m, k-1) + (a + b) P(m, k)
+    #             + sum_{l<=m} outer(m, l) rho_{l+1}(k) + sum_l r_{m+1}(l) inner(l, k),
+    # since a_l + b_k does not depend on l: k - m for s·S, l - l = 0 for S·s. That
+    # holds for any lower-triangular int rows, so a fault changes the product exactly
+    # as it changes the dot products; healthy rows leave every r and rho zero. The
+    # recurrences are written out here, apart from the row builder's, so that a
+    # builder broken the same way cannot make the product vacuously right.
+    def residuals(kind, rows):
+        # per row l+1, the nonzero (k, row(l+1)[k] - row(l)[k-1] - w_k row(l)[k]) for
+        # k = 0..l+1, w_k = -l for s and k for S; row 0 has no predecessor
+        found = [()]
+        for l, (prev, row) in enumerate(zip(rows, rows[1:])):
+            weights = repeat(-l, l + 1) if kind is StirlingKind.FIRST_SIGNED else range(l + 1)
+            stepped = (*map(add, chain((0,), prev), map(mul, weights, prev)), prev[-1])
+            found.append(() if row == stepped else
+                         [(k, a - b) for k, (a, b) in enumerate(zip(row, stepped)) if a != b])
+        return found
+
+    inner_rows = [calc.row(inner, n) for n in range(top + 1)]
+    outer_rows = [calc.row(outer, m) for m in range(top + 1)]
+    rho, r = residuals(inner, inner_rows), residuals(outer, outer_rows)
+    broken = [l for l in range(top) if rho[l + 1]]
+    rows = [[outer_rows[0][0] * inner_rows[0][0]]]
+    for m, outer_row in enumerate(outer_rows[:top]):
+        prev = rows[-1]
+        if outer is StirlingKind.FIRST_SIGNED:
+            row = [*map(add, chain((0,), prev), map(mul, range(-m, 1), prev)), prev[-1]]
+        else:
+            row = [0, *prev]
+        for l in broken:
+            if l > m:
+                break
+            for k, d in rho[l + 1]:
+                row[k] += outer_row[l] * d
+        for l, d in r[m + 1]:
+            row[:l + 1] = map(add, row, map(mul, repeat(d), inner_rows[l]))
+        rows.append(row)
+    return rows
 
 
 _SHARED = StirlingCalculator()

@@ -40,7 +40,10 @@ converted rows from ``engine._conversion_rows``, which walks the source
 diagonals as a band from row 0 and so stores no source row.
 ``run_all`` builds each product once, on its first read, and hands the same
 rows to its three readers, so eq3's and eq4's ``elapsed_ms`` carry the
-products' cost. Each inner sum is then one dot product of plain ints.
+products' cost. ``_product`` steps each product row from the last by the
+product's own recurrence and corrects it only where a row it read breaks
+its kind's recurrence, so its entries are the inner sums exactly, for
+healthy and faulty rows alike; the sweeps then compare plain ints.
 """
 
 import enum

@@ -7,7 +7,10 @@ the same double sum with the degree-m diagonal term split off, after which
 everything cancels: the result must be the zero polynomial. The ``*_second``
 variants swap the roles of the two kinds. All four read one row of the
 matrix product outer·inner: coefficient k of the double sum is the product's
-entry (m, k) for k >= 1, and ``engine._product`` computes that row.
+entry (m, k) for k >= 1. ``engine._product`` builds rows 0..m of the product,
+each from the last, so one construction pays one pass that checks rows
+0..m of both kinds against their recurrences, O(m^2) steps, even for a
+single row.
 
 ``Poly`` is the value the constructions return: coefficients, equality,
 evaluation and JSON output, with no arithmetic. Coefficients are stored as
@@ -136,4 +139,4 @@ def _build(m: int, calc, name: str, outer, inner) -> list:
         raise ValueError(f"{name} must be at least 1, got {m}")
     # coefficient 0 is zero whatever column 0 holds; the only degree-m term is
     # the diagonal's k = m one, so the residuals are the first m coefficients
-    return [0, *_product(calc, outer, inner, m, m)[0][1:]]
+    return [0, *_product(calc, outer, inner, m)[m][1:]]

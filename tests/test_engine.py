@@ -7,6 +7,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -937,3 +938,27 @@ def test_perturbed_calculator_argument_validation():
     for inexact in (0.5, True):
         with pytest.raises(TypeError, match="delta must be an int"):
             PerturbedCalculator(SECOND, 3, 1, delta=inexact)
+
+
+def _triangular_rows(top):
+    # rows 0..top, row n of n + 1 ints: almost surely off both kinds' recurrences
+    entry = strategies.integers(-10 ** 6, 10 ** 6)
+    return strategies.tuples(*(strategies.tuples(*[entry] * (n + 1)) for n in range(top + 1)))
+
+
+@settings(deadline=None)
+@given(strategies.integers(0, 10).flatmap(lambda top: strategies.tuples(
+    strategies.just(top), _triangular_rows(top), _triangular_rows(top))))
+def test_the_product_is_its_sums_for_any_triangular_rows(case):
+    # engine._product steps the product by the Stirling recurrences and corrects
+    # each row where a row it read breaks them; for arbitrary rows every
+    # correction runs, and each entry, row 0 and column 0 included, must still be
+    # sum_l outer(m, l) inner(l, k)
+    top, first_rows, second_rows = case
+    rows = {FIRST: first_rows, SECOND: second_rows}
+    calc = SimpleNamespace(row=lambda kind, n: rows[kind][n])
+    for outer, inner in ((FIRST, SECOND), (SECOND, FIRST)):
+        o, i = rows[outer], rows[inner]
+        expected = [[sum(o[m][l] * i[l][k] for l in range(k, m + 1)) for k in range(m + 1)]
+                    for m in range(top + 1)]
+        assert engine._product(calc, outer, inner, top) == expected, (outer, inner)

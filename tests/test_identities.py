@@ -287,9 +287,9 @@ def test_each_call_builds_only_the_products_it_reads(monkeypatch, make):
     built = []
     product = identities._product
 
-    def counted(calc, outer, inner, top, first=0):
+    def counted(calc, outer, inner, top):
         built.append((outer, inner))
-        return product(calc, outer, inner, top, first)
+        return product(calc, outer, inner, top)
 
     monkeypatch.setattr(identities, "_product", counted)
     calc = make()
@@ -429,6 +429,33 @@ def test_single_entry_mutations_are_detected():
         faulty = PerturbedCalculator(kind, n, m, delta=1)
         outcomes = [run_identity(i, 12, faulty) for i in SENSITIVE_SET]
         assert any(not r.passed for r in outcomes), (kind, n, m)
+
+
+PRODUCT_READERS = (
+    IdentityId.ORTHOGONALITY_3, IdentityId.ORTHOGONALITY_4, IdentityId.BASIS_POLY_11,
+    IdentityId.BASIS_POLY_12, IdentityId.RESIDUAL_13, IdentityId.RESIDUAL_15,
+)
+
+
+@pytest.mark.parametrize("helper", ["_next_row", "_step"])
+def test_a_broken_row_builder_fails_every_product_reader(monkeypatch, helper):
+    # the products check the rows against recurrences of their own: a row builder
+    # whose second-kind weight is k + 1 instead of k (through _step, the first
+    # kind's -n + 1 too) must fail all six readers, which it would not if the
+    # product stepped its rows by the same helper
+    next_row, step = engine._next_row, engine._step
+    if helper == "_next_row":
+        def broken(kind, prev, n, lo=0):
+            if kind is SECOND:
+                return step(prev, range(lo + 2, lo + 1 + len(prev)))
+            return next_row(kind, prev, n, lo)
+    else:
+        def broken(prev, weights):
+            return step(prev, (w + 1 for w in weights))
+    monkeypatch.setattr(engine, helper, broken)
+    assert StirlingCalculator().row(SECOND, 3) != (0, 1, 3, 1)
+    for identity in PRODUCT_READERS:
+        assert run_identity(identity, 12, StirlingCalculator()).counterexamples, identity
 
 
 def naive_conversion(source, n, m):
