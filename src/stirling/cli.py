@@ -18,15 +18,12 @@ about 2 µs a call, where argparse's ``parse_args`` takes about 30 µs and
 the first call's import and build of its parser 4-6 ms (in-process,
 Python 3.11 on a 2-CPU VM). Help, usage errors and every other spelling
 (``--flag=value``, abbreviations, repeated flags, ``--``) go through
-argparse, whose parser :func:`build_parser` builds from the same table;
-in-process callers of :func:`run` share one, built on the first call
-that needs it.
+argparse, whose parser :func:`build_parser` builds from the same table.
 
 All numeric output is exact decimal; the machine formats (csv, json)
 re-serialize byte for byte.
 """
 
-import functools
 import os
 import sys
 from collections import deque
@@ -321,11 +318,6 @@ def build_parser():
     return parser
 
 
-# building the parser costs more than parsing most requests, and
-# parse_args keeps no state between calls: every call gets a new
-# namespace, and the limits are read from it and the environment
-_parser = functools.cache(build_parser)
-
 # per command, the dest and type of each of its flags
 _FLAGS = {name: {flag: (dest, kind) for flag, dest, kind, *_ in options}
           for name, (_, _, options, _) in _COMMANDS.items()}
@@ -389,7 +381,7 @@ def run(argv=None) -> int:
     args = _read(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
 

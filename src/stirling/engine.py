@@ -14,24 +14,25 @@ signed triangle, never recomputed by a second recurrence.
 never evicting. The memo of both kinds grows as ~N³ bytes (about 50 MiB at
 N = 500, 410 MiB at N = 1000); the index cap bounds indices, not memory.
 Rows are immutable tuples appended under a lock, so concurrent readers need
-no synchronization once a row exists. Entries are read two ways. Whole rows
-come from :meth:`StirlingCalculator.row`, which fills the memo, for readers
-that come back to rows. Triangles and the other sweeps read rows 0..N once
-each off ``_stream``, which steps them off a band where the memo ends and
-stores none; triangles write theirs, the unsigned rows sign-flipped as they
-go, into a snapshot or straight into CSV or JSON text, ``_csv_lines`` and
-``_json_lines``. Every other table a sweep holds, bar lists of N ints, comes
-from ``_product``, the rows of s·S and S·s, or ``_conversion_rows``, eq1/eq2's
-Pascal weights and diagonals. ``_product`` builds each product row from the
-last by the product's own recurrence, P(m+1, k) = P(m, k-1) + (k - m) P(m, k)
-for s·S and P(m, k-1) for S·s, plus two sparse corrections where a row as
-read differs from its kind's recurrence applied to the row before it. That
-is exactly sum_l outer(m, l) inner(l, k) for any lower-triangular rows, so a
-fault reads as it would in the dot products. On healthy rows every
-correction is zero, and the product costs O(N^2) small-int steps after one
-pass that checks each row against its recurrence, where the dot products
-took N^3/6 big-int products.
-Everything else but some point queries is read off a band, ``_band``: the
+no synchronization once a row exists. Whole rows are stepped, each from the
+one before it, by ``_next_row``, and read two ways. Readers that come back
+to rows read :meth:`StirlingCalculator.row`, which stores them in the memo.
+Triangles and the other sweeps read rows 0..N once each off ``_stream``,
+which takes row n from the memo while the memo holds it, steps it from row
+n - 1 as built otherwise, and stores none; triangles write theirs, the
+unsigned rows sign-flipped as they go, into a snapshot or straight into CSV
+or JSON text, ``_csv_lines`` and ``_json_lines``. Every other table a sweep
+holds, bar lists of N ints, comes from ``_product``, the rows of s·S and
+S·s, or ``_conversion_rows``, eq1/eq2's Pascal weights and diagonals.
+``_product`` builds each product row from the last by the product's own
+recurrence, P(m+1, k) = P(m, k-1) + (k - m) P(m, k) for s·S and P(m, k-1)
+for S·s, plus two sparse corrections where a row as read differs from its
+kind's recurrence applied to the row before it. That is exactly
+sum_l outer(m, l) inner(l, k) for any lower-triangular rows, so a fault
+reads as it would in the dot products. On healthy rows every correction is
+zero, and the product costs O(N^2) small-int steps after one pass that
+checks each row against its recurrence.
+The cones that walks and conversions read come off a band, ``_band``: the
 rows from a start row up to (n, m), each kept only in the columns that
 reach (n, m) and stored nowhere. A point query,
 :meth:`StirlingCalculator.value`, reads row n if the memo holds it.
@@ -53,8 +54,8 @@ many on one calculator cost, in charged steps, at most about twice the
 entries of the rows they read. The eq1/eq2 sweeps up to N read source
 diagonals 0..N-1, entries (d + k, k) with k <= d, off the band from row 0 to
 (2N - 2, N - 1), and a conversion at (n, m) reads diagonal d alone off the
-band to (2d, d), so neither stores a source row. The band, the fold and the
-row fill take the same step, ``_step``; the product writes its recurrences
+band to (2d, d), so neither stores a source row. The band, the fold and
+whole rows take the same step, ``_step``; the product writes its recurrences
 out on its own, so that rows built wrong by ``_step`` fail its readers.
 Every read hands its entries out through one hook, ``_seen``, which is
 where a fault is injected: a summed, folded or converted query hands out
@@ -163,11 +164,11 @@ def _step(prev: tuple, weights) -> tuple:
 
 
 def _band(kind: StirlingKind, row: tuple, h: int, n: int, m: int):
-    # rows h..n of a stored kind from its row h, keeping of row k only the
-    # columns that reach (n, m): yields (k, lo, columns lo..min(k, m) of row k)
-    # with lo = max(0, m-(n-k)), at most min(m, n-m) + 1 entries once k >= m.
-    # Each row is stepped from the one yielded before it, never from a copy a
-    # reader patched, so a fault cannot spread.
+    # the cone to (n, m) that a walk and a conversion read: rows h..n of a stored
+    # kind from its row h, keeping of row k only the columns that reach (n, m).
+    # Yields (k, lo, columns lo..min(k, m) of row k) with lo = max(0, m-(n-k)), at
+    # most min(m, n-m) + 1 entries once k >= m. Each row is stepped from the one
+    # yielded before it, never from a copy a reader patched, so a fault cannot spread.
     lo = max(0, m - (n - h))
     band = row[lo:m + 1]
     for k in range(h, n + 1):
@@ -275,11 +276,10 @@ class StirlingCalculator:
 
     def row(self, kind: StirlingKind, n: int) -> tuple:
         """Row n of a stored kind (FIRST_SIGNED or SECOND): the tuple of its
-        n + 1 entries, built on first use.
+        n + 1 entries, stored in the memo with the rows before it on first use.
 
         The read path of readers that come back to rows: the products
-        and the orthogonality check. Triangles and the other sweeps read
-        rows 0..N once each off ``_stream``, which stores none.
+        and the orthogonality check.
         """
         rows = self._rows.get(kind)
         if rows is None:
@@ -309,16 +309,14 @@ class StirlingCalculator:
         return Triangle(kind, self._stream(kind, max_row))
 
     def _stream(self, kind: StirlingKind, top: int):
-        # rows 0..top of any kind as row() hands them out, storing none: the
-        # memo's rows while it holds them, then the rest stepped off the band
-        # from its last row h to (2 top, top), whose rows up to top are whole;
-        # first-unsigned flips the signed rows' signs one row at a time
+        # rows 0..top of any kind as row() hands them out, storing none: row n
+        # from the memo while it holds it, else by _next_row from row n-1 as
+        # built; first-unsigned flips the signed rows' signs one row at a time
         stored = StirlingKind.FIRST_SIGNED if kind is StirlingKind.FIRST_UNSIGNED else kind
         rows = self._rows[stored]
-        h = min(len(rows) - 1, top)
-        stepped = (band for _, _, band in _band(stored, rows[h], h, 2 * top, top))
-        for n, row in zip(range(top + 1), chain(rows[:h], stepped)):
-            row = self._seen(stored, n, 0, row)
+        for n in range(top + 1):
+            built = rows[n] if n < len(rows) else _next_row(stored, built, n - 1)
+            row = self._seen(stored, n, 0, built)
             if kind is not stored:
                 row = tuple(-v if (n - m) % 2 else v for m, v in enumerate(row))
             yield row
@@ -353,9 +351,10 @@ class PerturbedCalculator(StirlingCalculator):
     the copy of its row handed out by :meth:`row` or a stream of rows, the
     entry :meth:`value` reads by any route (its conversion reads the source
     as built), and each band row that the eq1/eq2 sweeps and the public
-    conversions read their source diagonals from. The memo and the bands keep their rows as
-    built, so rows built later by the recurrence are the healthy ones and
-    the fault never spreads past its own entry.
+    conversions read their source diagonals from. The memo, the streams and
+    the bands step each row from the one before it as built, so rows built
+    later by the recurrence are the healthy ones and the fault never spreads
+    past its own entry.
 
     Fault injector: an identity suite that still passes against a corrupted
     triangle would be vacuous, so tests (and ``verify --inject-fault``) use
@@ -400,12 +399,13 @@ def _converted(source: StirlingKind, n: int, m: int, seen=lambda kind, k, lo, ba
 
 def _conversion_rows(calc: StirlingCalculator, source: StirlingKind, top: int):
     # for n = 1..top, the tuple of _converted's sums at m = 1..n, weighted by slices of
-    # _pascal(top), which a sweep reads faster than stepped binomials. The diagonals
+    # _pascal(top), which a sweep reads faster than stepped binomials: its rows, and
+    # its columns, zero-padded, each from its entry (k, k) down. The diagonals
     # 0..top-1 come through calc._seen off the band to (2top-2, top-1): rows 0..top-1
     # whole, then one column fewer on the left at every row. Column c of row r lies
     # on diagonal r-c and is read while c <= r-c, so diagonals r-lo down to ceil(r/2).
     pascal = _pascal(top)
-    columns = _columns(pascal, top)
+    columns = [column[k:] for k, column in enumerate(zip_longest(*pascal, fillvalue=0))]
     diagonals = [[] for _ in range(top)]
     for r, lo, band in _band(source, (1,), 0, 2 * top - 2, top - 1):
         for d, entry in zip(range(r - lo, (r - 1) // 2, -1), calc._seen(source, r, lo, band)):
@@ -474,12 +474,6 @@ def _pascal(top: int) -> list:
         rows.append(row[:top])
         row = (1, *map(sub, row[1:], row), -row[-1])
     return rows
-
-
-def _columns(rows, width: int) -> list:
-    # columns 0..width-1 of the rows 0..top, column k from its entry (k, k) down
-    padded = zip_longest(*(row[:width] for row in rows), fillvalue=0)
-    return [column[k:] for k, column in enumerate(padded)]
 
 
 def _product(calc: StirlingCalculator, outer: StirlingKind, inner: StirlingKind,

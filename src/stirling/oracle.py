@@ -28,8 +28,6 @@ takes 0.5-0.9 s on a 2-vCPU Xeon VM under CPython 3.11, and the walk to
 Bell(10) = 115 975 partitions about 0.03 s. Hence the budget rail.
 """
 
-from functools import lru_cache
-
 from .exact import ResourceLimitError, check_int, check_limit
 
 DEFAULT_ENUMERATION_BUDGET = 10
@@ -83,11 +81,9 @@ def count_set_partitions(n: int, m: int,
 _BLOCK = 5
 
 
-@lru_cache(maxsize=None)
 def _heap_swaps(size: int) -> tuple:
     """The size! - 1 swaps (a, i) Heap's algorithm makes on range(size), in
-    order: c[i] counts the swaps made at level i. Cached, since every run
-    with the same block replays the same list."""
+    order: c[i] counts the swaps made at level i."""
     swaps = []
     c = [0] * size
     i = 1

@@ -456,6 +456,15 @@ def test_negative_limits_are_usage_errors(capsys):
     assert capsys.readouterr().err == "stirling: index cap must be non-negative, got -1\n"
 
 
+def test_out_of_memory_exits_3(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(StirlingCalculator, "value", exhausted)
+    assert run(["value", "--kind", "second", "4", "2"]) == EXIT_LIMIT
+    assert capsys.readouterr() == ("", "stirling: out of memory for this request\n")
+
+
 def test_oracle_budget_env_is_read_only_by_oracle_check(monkeypatch, capsys):
     monkeypatch.setenv(ENV_ORACLE_BUDGET, "x")
     assert run(["oracle-check", "--max", "3"]) == EXIT_USAGE
@@ -464,7 +473,7 @@ def test_oracle_budget_env_is_read_only_by_oracle_check(monkeypatch, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
-def test_run_builds_one_parser_per_process(monkeypatch, capsys):
+def test_run_builds_a_parser_only_for_declined_requests(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -473,20 +482,17 @@ def test_run_builds_one_parser_per_process(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
     # a well-formed request is read off the command table
     assert run(["value", "--kind", "second", "4", "2"]) == EXIT_OK
     assert run(["convert", "--direction", "s1-from-s2", "5", "2"]) == EXIT_OK
     assert built == []
-    # the first declined request builds the shared parser, the next builds none
+    # each declined request builds a parser of its own
     assert run(["value", "--kind=second", "4", "2"]) == EXIT_OK
-    assert built and built[0] is cli._parser()
+    assert built
     built.clear()
     assert run(["value", "--kin", "second", "4", "2"]) == EXIT_OK
-    assert built == []
-    # the count does see construction, and build_parser() still builds afresh
-    assert build_parser() is not build_parser()
     assert built
+    assert build_parser() is not build_parser()
     assert capsys.readouterr().out == "7\nvalue: -50\nrecurrence: -50\nagree: yes\n7\n7\n"
 
 
@@ -642,7 +648,6 @@ def test_run_answers_as_a_fresh_parser_and_its_handler_would(monkeypatch, capsys
     got = (run(argv), *capsys.readouterr())
     with monkeypatch.context() as patched:
         patched.setattr(cli, "_read", lambda argv: None)
-        patched.setattr(cli, "_parser", build_parser)
         expected = (run(argv), *capsys.readouterr())
     assert _masked(got[1]) == _masked(expected[1])
     assert (got[0], got[2]) == (expected[0], expected[2])

@@ -25,6 +25,7 @@ from stirling.engine import (
     second_from_first,
     stirling,
 )
+from stirling.cli import EXIT_OK, run
 from stirling.exact import IndexLimitError, dump_json, factorial
 from stirling.identities import IdentityId, run_identity
 
@@ -706,6 +707,40 @@ def test_conversion_sweeps_store_no_source_row(identity, source):
     calc = StirlingCalculator()
     assert run_identity(identity, 30, calc).passed
     assert len(calc._rows[source]) == 1
+
+
+def test_a_stream_walks_no_band(monkeypatch, capsys):
+    # a stream steps whole rows by _next_row, as the memo grows, off whatever
+    # row the memo ends at; a fault read in one row never reaches the next
+    healthy = StirlingCalculator()
+    whole = {kind: tuple(healthy.row(kind, n) for n in range(41)) for kind in (FIRST, SECOND)}
+
+    def no_band(*args):
+        raise AssertionError("walked a band")
+
+    monkeypatch.setattr(engine, "_band", no_band)
+    calc = StirlingCalculator()
+    assert calc.triangle(FIRST, 40).rows == whole[FIRST]
+    assert calc.triangle(SECOND, 40).rows == whole[SECOND]
+    assert calc.triangle(UNSIGNED, 40).rows == tuple(tuple(map(abs, row)) for row in whole[FIRST])
+    for identity in (IdentityId.UNIT_SUM_5, IdentityId.DERIV_RELATION_17):
+        assert run_identity(identity, 40, StirlingCalculator()).passed
+    for text in ("table", "csv", "json"):
+        assert run(["triangle", "--kind", "second", "--rows", "40", "--format", text]) == EXIT_OK
+        out = capsys.readouterr().out
+        if text == "csv":
+            assert out == Triangle(SECOND, whole[SECOND]).to_csv()
+        assert out.count("\n") >= 41
+    for kind in (FIRST, SECOND):
+        for h in (0, 19, 20, 21, 40):
+            fault = PerturbedCalculator(kind, 20, 3)
+            fault.row(kind, h)
+            streamed = list(fault._stream(kind, 40))
+            assert len(fault._rows[kind]) == h + 1
+            assert streamed == [fault.row(kind, n) for n in range(41)], (kind, h)
+            offset = [n for n in range(41) if streamed[n] != whole[kind][n]]
+            assert offset == [20], (kind, h)
+            assert streamed[20][3] == whole[kind][20][3] + 1
 
 
 def test_triangle_rejects_ragged_rows():

@@ -170,7 +170,7 @@ def test_oracle_imports_nothing_from_the_engine():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported == {"functools", ".exact"}
+    assert imported == {".exact"}
 
 
 def test_partition_examples():
